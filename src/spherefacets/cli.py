@@ -331,11 +331,27 @@ def emit(report: dict, fmt: str, path: str | None) -> None:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(p, n_required=True):
+def _add_common(p):
     p.add_argument("--n", type=int, default=None, help="point count")
     p.add_argument("--ln-n", type=float, default=None, dest="ln_n",
                    help="natural log of the point count (for n beyond float range)")
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
+
+
+def _add_rel_tol(p):
+    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
+
+
+def _add_regime(p, family_help=None):
+    p.add_argument("--family", default=None, help=family_help)
+    p.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
+    p.add_argument("--rho", type=float, default=None)
+
+
+def _add_census(p):
+    p.add_argument("--replicates", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subset-cap", type=int, default=1_000_000, dest="subset_cap")
 
 
 def _add_output(p):
@@ -354,40 +370,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--h1", type=float, default=-1.0)
     p.add_argument("--h2", type=float, default=1.0)
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
+    _add_rel_tol(p)
     p.add_argument("--cdf-points", type=int, default=0,
                    help="emit a typical-height CDF table with this many rows")
     _add_output(p)
 
     p = sub.add_parser("asym", help="regime asymptotics (regime must be supplied)")
     _add_common(p)
-    p.add_argument("--family", default=None,
-                   help="growth family, e.g. 'n-d=0.5*d', 'ln(n)=2*d', 'd=3'")
-    p.add_argument("--regime", default=None,
-                   choices=[r.value for r in asym.Regime])
-    p.add_argument("--rho", type=float, default=None)
+    _add_regime(p, "growth family, e.g. 'n-d=0.5*d', 'ln(n)=2*d', 'd=3'")
     p.add_argument("--r1", type=float, default=10.0)
     p.add_argument("--r2", type=float, default=0.1)
     _add_output(p)
 
     p = sub.add_parser("mc", help="Monte Carlo facet census")
     _add_common(p)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subset-cap", type=int, default=1_000_000, dest="subset_cap")
+    _add_census(p)
     p.add_argument("--dump-facets", default=None, dest="dump_facets",
                    help="write per-facet records to this CSV path")
     _add_output(p)
 
     p = sub.add_parser("compare", help="exact vs Monte Carlo (vs asymptotics)")
     _add_common(p)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subset-cap", type=int, default=1_000_000, dest="subset_cap")
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    p.add_argument("--family", default=None)
-    p.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
-    p.add_argument("--rho", type=float, default=None)
+    _add_census(p)
+    _add_rel_tol(p)
+    _add_regime(p)
     _add_output(p)
 
     p = sub.add_parser("scan", help="sweep n at fixed d, emit a table")
@@ -397,10 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-step", type=int, default=1, dest="n_step")
     p.add_argument("--h1", type=float, default=-1.0)
     p.add_argument("--h2", type=float, default=1.0)
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    p.add_argument("--family", default=None)
-    p.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
-    p.add_argument("--rho", type=float, default=None)
+    _add_rel_tol(p)
+    _add_regime(p)
     _add_output(p)
 
     p = sub.add_parser("verify", help="run the inequality and oracle suites")

@@ -25,6 +25,8 @@ throughout, and counts are returned as LogReal.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -33,8 +35,8 @@ import numpy as np
 
 from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY, log_add_exp
 from .numerics import log_c_alpha, log_reg_inc_beta, log_reg_inc_beta_from_log_x
-from .quadrature import geometric_ladder, log_integrate, panel_log_values
-from .solvers import bisect_root, golden_max
+from .quadrature import _converged_panels, _log_total, geometric_ladder, panel_log_values
+from .solvers import golden_max, newton_bracketed
 
 __all__ = [
     "PolytopeParams",
@@ -55,6 +57,7 @@ _NEG_INF = float("-inf")
 _MAX_EXP_ARG = 709.0
 # below this gap from the endpoint, integrate in log(u) space
 _LOG_SLICE_LIMIT = 0.25
+_LN_PI = math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -239,8 +242,9 @@ def _locate_peak(f_log, lo: float, hi: float, xtol: float):
 class _Segment:
     """A log-integrand on [lo, hi] with its peak already located.
 
-    A peak of -inf gives no bound, so such a segment is always
-    integrated, unless ``zero_if_flat`` marks it as taken to be zero.
+    The variable is the gap u, or t = ln(u) when ``log_gap`` is set.  A
+    peak of -inf gives no bound, so such a segment is always integrated,
+    unless ``zero_if_flat`` marks it as taken to be zero.
     """
 
     f_log: Callable[[float], float]
@@ -248,6 +252,7 @@ class _Segment:
     hi: float
     mode: float
     peak: float
+    log_gap: bool = False
     zero_if_flat: bool = False
 
     @property
@@ -257,16 +262,14 @@ class _Segment:
             return math.inf
         return self.peak + math.log(self.hi - self.lo)
 
-    def integrate(self, cfg: AccuracyConfig, reference_ln: float | None = None) -> LogReal:
+    def panels(self, cfg: AccuracyConfig, reference_ln: float) -> list:
+        """The converged quadrature panels; none for a segment taken as zero."""
         if self.zero_if_flat and self.peak == _NEG_INF:
-            return LogReal.zero()
-        # skip a segment that cannot move the already-accumulated total at
-        # the requested tolerance
-        if reference_ln is not None and (
-            self.bound_ln < reference_ln + math.log(cfg.rel_tol) - 40.0
-        ):
-            return LogReal.zero()
-        return log_integrate(
+            return []
+        # skip a segment that cannot move the reference total at rel_tol
+        if self.bound_ln < reference_ln + math.log(cfg.rel_tol) - 40.0:
+            return []
+        return _converged_panels(
             self.f_log,
             geometric_ladder(self.lo, self.hi, self.mode),
             rel_tol=cfg.rel_tol,
@@ -291,7 +294,7 @@ def _log_slice_segment(f_u: _GapIntegrand, u_lo: float, t_hi: float) -> _Segment
     if u_lo > 0.0:
         t_lo = math.log(u_lo)
         mode, peak = _locate_peak(f_t, t_lo, t_hi, 1e-10)
-        return _Segment(f_t, t_lo, t_hi, mode, peak)
+        return _Segment(f_t, t_lo, t_hi, mode, peak, log_gap=True)
     floor = min(f_u.t_floor, t_hi - 1.0)
     mode, peak = _locate_peak(f_t, floor, t_hi, 1e-10)
     t_lo = floor
@@ -301,46 +304,60 @@ def _log_slice_segment(f_u: _GapIntegrand, u_lo: float, t_hi: float) -> _Segment
             step *= 2.0
             t_lo = mode - step
         t_lo = max(t_lo, floor)
-    return _Segment(f_t, t_lo, t_hi, mode, peak, zero_if_flat=True)
+    return _Segment(f_t, t_lo, t_hi, mode, peak, log_gap=True, zero_if_flat=True)
+
+
+def _located_segments(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) -> list:
+    """Gaps [u_lo, u_hi] as located segments, in ln(gap) below
+    ``_LOG_SLICE_LIMIT`` and linear above, largest bound first.  t_hi is
+    ln(u_hi), and u_hi may underflow to zero when u_lo is zero."""
+    cross = min(_LOG_SLICE_LIMIT, u_hi)
+    segments = []
+    if u_lo == 0.0 or cross - u_lo > 1e-14 * cross:
+        segments.append(_log_slice_segment(f_u, u_lo, min(math.log(_LOG_SLICE_LIMIT), t_hi)))
+    elif u_lo < cross:
+        # too narrow for ln(gap), whose float values may coincide
+        segments.append(_linear_segment(f_u, u_lo, cross))
+    if max(u_lo, cross) < u_hi:
+        segments.append(_linear_segment(f_u, max(u_lo, cross), u_hi))
+    return sorted(segments, key=lambda seg: seg.bound_ln, reverse=True)
+
+
+def _integrated_segments(f_u, u_lo, u_hi, t_hi, cfg, reference_ln=_NEG_INF) -> tuple:
+    """(ln of the integral, [(segment, converged panels)]) over the gaps
+    [u_lo, u_hi] of ``_located_segments``; the engine of every height query.
+
+    A segment whose bound cannot move the total so far, or
+    ``reference_ln`` (such as a CDF's normalizer), gets no panels.
+    Raises QuadratureError if ``cfg`` cannot be met.
+    """
+    total_ln, parts = _NEG_INF, []
+    for seg in _located_segments(f_u, u_lo, u_hi, t_hi):
+        panels = seg.panels(cfg, max(reference_ln, total_ln))
+        total_ln = log_add_exp(total_ln, _log_total(p.log_val for p in panels))
+        parts.append((seg, panels))
+    return total_ln, parts
 
 
 def height_integral(
     params: PolytopeParams,
     window: HeightInterval = FULL_RANGE,
     cfg: AccuracyConfig = QUADRATURE_ACCURACY,
-    reference_ln: float | None = None,
 ) -> LogReal:
     """The height-window integral J[h1, h2], as a LogReal.
 
     Gaps below ``_LOG_SLICE_LIMIT`` are integrated in ln(gap), the rest
     linearly.  The segment with the larger peak * width bound goes
     first; the other is skipped when its bound cannot move that total.
-    ``reference_ln``, the ln of a total the result is to be compared
-    with (a CDF's normalizer), skips by the same rule from the start.
 
     Raises QuadratureError (with the achieved error estimate) if the
     panel budget ``cfg.max_iter`` is exhausted before ``cfg.rel_tol``.
     """
     if window.is_empty():
         return LogReal.zero()
-    f_u = _GapIntegrand(params)
     u_lo, u_hi = window.gap2, window.gap1
-    cross = min(_LOG_SLICE_LIMIT, u_hi)
-    segments = []
-    if cross - u_lo > 1e-14 * cross:
-        segments.append(_log_slice_segment(f_u, u_lo, math.log(cross)))
-    elif u_lo < cross:
-        # too narrow for ln(gap), whose float values may coincide
-        segments.append(_linear_segment(f_u, u_lo, cross))
-    if cross < u_hi:
-        segments.append(_linear_segment(f_u, max(u_lo, cross), u_hi))
-    total = LogReal.zero()
-    for seg in sorted(segments, key=lambda seg: seg.bound_ln, reverse=True):
-        reference = reference_ln
-        if total.sign == 1:
-            reference = total.ln() if reference is None else max(reference, total.ln())
-        total = total + seg.integrate(cfg, reference)
-    return total
+    total_ln, _ = _integrated_segments(_GapIntegrand(params), u_lo, u_hi, math.log(u_hi), cfg)
+    return LogReal.from_log(total_ln)
 
 
 def log_binomial(params: PolytopeParams) -> float:
@@ -388,7 +405,6 @@ class TypicalHeightLaw:
     def __post_init__(self):
         if not self.normalizer.sign == 1:
             raise ValueError("normalizer must be positive")
-        self._neg_mass = None
 
     @classmethod
     def for_params(
@@ -396,63 +412,49 @@ class TypicalHeightLaw:
     ) -> "TypicalHeightLaw":
         return cls(params, height_integral(params, FULL_RANGE, cfg), cfg)
 
-    def _mass_below_theta(self, theta: float) -> float:
-        part = height_integral(
-            self.params,
-            HeightInterval.from_theta(-HALF_PI, theta),
-            self.cfg,
-            self.normalizer.ln(),
+    def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
+        """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)]."""
+        ln_j = self.normalizer.ln()
+        part_ln, _ = _integrated_segments(
+            _GapIntegrand(self.params), u_lo, math.exp(t_hi), t_hi, self.cfg, ln_j
         )
-        if part.is_zero():
-            return 0.0
-        return min(math.exp(part.ln() - self.normalizer.ln()), 1.0)
+        return min(math.exp(part_ln - ln_j), 1.0)
 
-    def _mass_of_upper_gap(self, gap: float) -> float:
-        part = height_integral(
-            self.params, HeightInterval.upper_tail(gap), self.cfg, self.normalizer.ln()
-        )
-        if part.is_zero():
-            return 0.0
-        return min(math.exp(part.ln() - self.normalizer.ln()), 1.0)
-
-    def _mass_of_upper_log_gap(self, log_gap: float) -> float:
-        """Mass of heights above cos(exp(log_gap)); gap may underflow float."""
-        if log_gap >= math.log(_LOG_SLICE_LIMIT):
-            return self._mass_of_upper_gap(math.exp(log_gap))
-        part = _log_slice_segment(_GapIntegrand(self.params), 0.0, log_gap).integrate(
-            self.cfg, self.normalizer.ln()
-        )
-        if part.is_zero():
-            return 0.0
-        return min(math.exp(part.ln() - self.normalizer.ln()), 1.0)
-
-    @property
+    @functools.cached_property
     def negative_height_mass(self) -> float:
         """P(typical height < 0); reported alongside the gamma statistic."""
-        if self._neg_mass is None:
-            self._neg_mass = self._mass_below_theta(0.0)
-        return self._neg_mass
+        return self._mass_of_gaps(HALF_PI)
 
 
 def typical_height_cdf(law: TypicalHeightLaw, h: float) -> float:
     """P(typical height <= h)."""
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
-    return law._mass_below_theta(math.asin(h))
+    return law._mass_of_gaps(HALF_PI - math.asin(h))
 
 
 def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
     """Inverse of the typical-height CDF, to 1e-10 absolute in height.
 
-    Bisection runs on the angular variable, which bounds the height error
-    by the angular tolerance.
+    Newton runs on the angular variable theta = arcsin(h), inside a
+    bisection bracket, with the exact density exp(E(pi/2 - theta)) / J as
+    the derivative and the integrand's mode as the start; the angular
+    tolerance bounds the height error.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    theta = bisect_root(
-        lambda t: law._mass_below_theta(t) - p,
+    f_u = _GapIntegrand(law.params)
+    modes = [
+        math.exp(seg.mode) if seg.log_gap else seg.mode
+        for seg in _located_segments(f_u, 0.0, math.pi, _LN_PI)
+    ]
+    mode_gap = max(modes, key=f_u)
+    theta = newton_bracketed(
+        lambda t: law._mass_of_gaps(HALF_PI - t) - p,
+        lambda t: math.exp(f_u(HALF_PI - t) - law.normalizer.ln()),
         -HALF_PI,
         HALF_PI,
+        x0=HALF_PI - mode_gap,
         xtol=1e-10,
         max_iter=80,
     )
@@ -480,57 +482,43 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
         - math.lgamma(0.5 * d)
         - law.params.ln_n
     )
-    if ln_t >= 0.0:
-        # the implied cap exceeds a hemisphere: Y <= y is certain given H >= 0
-        return law._mass_of_upper_gap(HALF_PI)
-    # 1 - h^2 = t^(2/(d-1)); the gap is arcsin(sqrt(1 - h^2))
-    ln_root_s = ln_t / (d - 1)
+    # 1 - h^2 = t^(2/(d-1)); the gap is arcsin(sqrt(1 - h^2)), and a cap
+    # beyond a hemisphere (t >= 1) takes every H >= 0, the gap pi/2
+    ln_root_s = min(ln_t, 0.0) / (d - 1)
     if ln_root_s > -20.0:
         log_gap = math.log(math.asin(min(math.exp(ln_root_s), 1.0)))
     else:
         log_gap = ln_root_s  # arcsin(x) = x to relative O(x^2)
-    return law._mass_of_upper_log_gap(log_gap)
+    return law._mass_of_gaps(0.0, log_gap)
 
 
 def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
-    """Dense table (theta, height, cdf) of the typical-height CDF.
+    """Table (theta, height, cdf) of the typical-height CDF, theta ascending
+    from -pi/2 to pi/2.
 
-    The angular grid is refined inside the region that carries the
-    integrand mass, located by a concave search plus a coarse scan; the
-    table resolves laws whose mass band is no narrower than ~1e-14 in
-    angle (beyond that, use the windowed integrals directly).
+    Rows are placed in proportion to mass: each converged panel of the
+    full-range quadrature is cut into 1 + floor(num * its share of the
+    mass) cells, so no cell holds more than 1/num of it, and the CDF at
+    each row is a prefix sum of the cells, as accurate as the quadrature.
+    Where the mass lies below float resolution of theta at pi/2, rows
+    collapse to theta = pi/2 and h = 1, but their CDF values stay right.
     """
-    f_u = _GapIntegrand(law.params)
-    f_theta = lambda t: f_u(HALF_PI - t)
-    mode, _ = golden_max(f_theta, -HALF_PI, HALF_PI, xtol=1e-14)
-    coarse = np.unique(
-        np.concatenate(
-            [
-                np.linspace(-HALF_PI, HALF_PI, 1025),
-                np.asarray(geometric_ladder(-HALF_PI, HALF_PI, mode)),
-            ]
-        )
+    total_ln, parts = _integrated_segments(
+        _GapIntegrand(law.params), 0.0, math.pi, _LN_PI, law.cfg
     )
-    e_vals = np.array([f_theta(t) for t in coarse])
-    peak = e_vals.max()
-    core = e_vals >= peak - 60.0
-    # widen by one node on each side
-    active = core.copy()
-    active[:-1] |= core[1:]
-    active[1:] |= core[:-1]
-    lo = coarse[active].min()
-    hi = coarse[active].max()
-    fine = np.linspace(lo, hi, num)
-    grid = np.unique(np.concatenate([coarse, fine]))
-    cell_logs = panel_log_values(f_theta, grid)
-    acc = _NEG_INF
-    prefix = np.empty(len(cell_logs) + 1)
-    prefix[0] = _NEG_INF
-    for i, v in enumerate(cell_logs):
-        acc = log_add_exp(acc, v)
-        prefix[i + 1] = acc
-    total = prefix[-1]
-    with np.errstate(divide="ignore"):
-        cdf = np.exp(prefix - total)
-    cdf[-1] = 1.0
-    return grid, np.sin(grid), cdf
+    share_ln = total_ln - math.log(num)
+    # rows run from the largest gap down: the linear segment, then the log
+    # slice, each starting with a massless row at its upper end
+    gaps, cells = [], []
+    for seg, panels in sorted(parts, key=lambda part: part[0].log_gap):
+        ends, seg_cells = [seg.hi], [_NEG_INF]
+        for pan in sorted(panels, key=lambda pan: pan.lo, reverse=True):
+            edges = np.linspace(pan.lo, pan.hi, 2 + int(math.exp(pan.log_val - share_ln)))
+            ends.extend(edges[-2::-1])
+            seg_cells.extend(reversed(panel_log_values(seg.f_log, edges)))
+        gaps.append(np.exp(ends) if seg.log_gap else np.array(ends))
+        cells.extend(seg_cells)
+    # the last row closes the table at theta = pi/2
+    gaps = np.concatenate([*gaps, [0.0]])
+    prefix = np.fromiter(itertools.accumulate([*cells, _NEG_INF], log_add_exp), float)
+    return HALF_PI - gaps, np.cos(gaps), np.exp(prefix - prefix[-1])

@@ -37,7 +37,8 @@ def log_sub_exp(a: float, b: float) -> float:
         raise ValueError(f"log_sub_exp requires a >= b, got a={a}, b={b}")
     if a == b:
         return _NEG_INF
-    return a + math.log1p(-math.exp(b - a))
+    # expm1 keeps 1 - exp(b - a) nonzero when b - a rounds exp to 1
+    return a + math.log(-math.expm1(b - a))
 
 
 @dataclass(frozen=True)

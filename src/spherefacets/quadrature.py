@@ -12,6 +12,7 @@ error estimate until the relative target is met.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -109,18 +110,9 @@ def panel_log_values(f_log, boundaries) -> list:
     return out
 
 
-def log_integrate(
-    f_log,
-    boundaries,
-    rel_tol: float = QUADRATURE_ACCURACY.rel_tol,
-    max_panels: int = QUADRATURE_ACCURACY.max_iter,
-) -> LogReal:
-    """Integral of exp(f_log) over the paneled interval, as a LogReal.
-
-    ``boundaries`` is an increasing sequence of panel edges (at least two
-    entries).  Raises QuadratureError when the split budget runs out with
-    the relative error estimate still above ``rel_tol``.
-    """
+def _converged_panels(f_log, boundaries, rel_tol: float, max_panels: int) -> list:
+    """The paneled interval's panels, split until their summed error
+    estimate is within ``rel_tol`` of their summed value."""
     boundaries = list(boundaries)
     if len(boundaries) < 2:
         raise ValueError("need at least two panel boundaries")
@@ -130,27 +122,16 @@ def log_integrate(
             raise ValueError("panel boundaries must be increasing")
         if b > a:
             panels.append(_eval_panel(f_log, a, b))
-    if not panels:
-        return LogReal.zero()
 
     heap = [(-p.log_err, i) for i, p in enumerate(panels)]
     heapq.heapify(heap)
 
-    def totals():
-        tv = _NEG_INF
-        te = _NEG_INF
-        for p in panels:
-            tv = log_add_exp(tv, p.log_val)
-            te = log_add_exp(te, p.log_err)
-        return tv, te
-
     splits = 0
     while True:
-        total_val, total_err = totals()
-        if total_val == _NEG_INF:
-            return LogReal.zero()
-        if total_err <= total_val + math.log(rel_tol):
-            return LogReal.from_log(total_val)
+        total_val = _log_total(p.log_val for p in panels)
+        total_err = _log_total(p.log_err for p in panels)
+        if total_val == _NEG_INF or total_err <= total_val + math.log(rel_tol):
+            return panels
         if splits >= max_panels:
             raise QuadratureError(
                 "quadrature did not converge within the panel budget",
@@ -159,12 +140,12 @@ def log_integrate(
             )
         if not heap:
             # every panel is at float resolution; error floor reached
-            return LogReal.from_log(total_val)
+            return panels
         _, idx = heapq.heappop(heap)
         worst = panels[idx]
         if worst.log_err == _NEG_INF:
             # nothing left to refine; error floor reached
-            return LogReal.from_log(total_val)
+            return panels
         # errors already far below the convergence threshold cannot add up
         # to it across the panel set; freeze such panels instead of splitting
         cut = total_val + math.log(rel_tol) - math.log(len(panels)) - 5.0
@@ -183,3 +164,24 @@ def log_integrate(
         panels.append(right)
         heapq.heappush(heap, (-right.log_err, len(panels) - 1))
         splits += 1
+
+
+def _log_total(logs) -> float:
+    """ln of the sum of exp over ``logs``, summed left to right."""
+    return functools.reduce(log_add_exp, logs, _NEG_INF)
+
+
+def log_integrate(
+    f_log,
+    boundaries,
+    rel_tol: float = QUADRATURE_ACCURACY.rel_tol,
+    max_panels: int = QUADRATURE_ACCURACY.max_iter,
+) -> LogReal:
+    """Integral of exp(f_log) over the paneled interval, as a LogReal.
+
+    ``boundaries`` is an increasing sequence of panel edges (at least two
+    entries).  Raises QuadratureError when the split budget runs out with
+    the relative error estimate still above ``rel_tol``.
+    """
+    panels = _converged_panels(f_log, boundaries, rel_tol, max_panels)
+    return LogReal.from_log(_log_total(p.log_val for p in panels))

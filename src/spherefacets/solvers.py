@@ -47,6 +47,8 @@ def newton_bracketed(
 
     Steps that leave the bracket, or fail to shrink it fast enough, fall
     back to bisection, so convergence is guaranteed for continuous f.
+    A Newton step below xtol/2 ends it: Newton from one side of a noisy
+    f (a quadrature) may never close the bracket.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -71,6 +73,8 @@ def newton_bracketed(
         if dfx != 0.0:
             step = fx / dfx
             cand = x - step
+            if abs(step) < 0.5 * xtol:
+                return min(max(cand, lo), hi)
             if lo < cand < hi and abs(step) < 0.5 * (hi - lo):
                 x = cand
                 continue

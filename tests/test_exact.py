@@ -374,18 +374,32 @@ class TestGammaStatistic:
 
 
 class TestCdfTable:
-    def test_table_is_a_cdf(self):
-        law = TypicalHeightLaw.for_params(PolytopeParams(12, 4))
+    @pytest.mark.parametrize(
+        "params",
+        [PolytopeParams(12, 4), PolytopeParams.from_log(3000.0, 4)],
+        ids=["12_4", "ln_n_3000_d_4"],
+    )
+    def test_table_is_a_cdf(self, params):
+        # at ln n = 3000 the mass sits at gaps far below float resolution
+        # of theta, so rows collapse to h = 1 but must stay a CDF
+        law = TypicalHeightLaw.for_params(params)
         _, heights, cdf = cdf_table(law, 801)
+        assert np.all(np.isfinite(heights)) and np.all(np.isfinite(cdf))
         assert cdf[0] == pytest.approx(0.0, abs=1e-12)
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= -1e-15)
         assert np.all(np.diff(heights) >= 0)
 
     def test_table_matches_pointwise_cdf(self):
-        law = TypicalHeightLaw.for_params(PolytopeParams(15, 3))
-        _, heights, cdf = cdf_table(law, 2001)
-        for h in (-0.2, 0.1, 0.4, 0.7):
-            want = typical_height_cdf(law, h)
-            got = float(np.interp(h, heights, cdf))
-            assert got == pytest.approx(want, abs=5e-4)
+        for n, d in ((15, 3), (12, 4), (50, 4), (405, 400)):
+            law = TypicalHeightLaw.for_params(PolytopeParams(n, d))
+            _, heights, cdf = cdf_table(law, 2001)
+            for h in (-0.2, 0.1, 0.4, 0.7):
+                want = typical_height_cdf(law, h)
+                got = float(np.interp(h, heights, cdf))
+                assert got == pytest.approx(want, abs=5e-4)
+            # rows themselves carry the quadrature's accuracy
+            band = np.flatnonzero((cdf > 0.05) & (cdf < 0.95))
+            for i in band[np.linspace(0, len(band) - 1, 4).astype(int)]:
+                want = typical_height_cdf(law, float(heights[i]))
+                assert cdf[i] == pytest.approx(want, abs=1e-8), (n, d, heights[i])

@@ -120,6 +120,13 @@ class TestLogSumPrimitives:
         with pytest.raises(ValueError):
             log_sub_exp(1.0, 2.0)
 
+    def test_rel_diff_one_ulp_apart(self):
+        # exp(b - a) rounds to 1 when 0 < a - b < ~1.1e-16
+        a = -0.40546510810816677
+        b = math.nextafter(a, 0.0)
+        diff = LogReal(1, a).rel_diff(LogReal(1, b))
+        assert 0.0 < diff == pytest.approx(b - a, rel=1e-6)
+
     def test_rel_diff(self):
         a = LogReal.from_float(1.0)
         b = LogReal.from_float(1.0 + 1e-9)

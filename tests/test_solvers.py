@@ -33,6 +33,20 @@ class TestNewtonBracketed:
         root = newton_bracketed(f, lambda x: 1e-30, 0.0, 2.0, xtol=1e-12)
         assert root == pytest.approx(0.7, abs=1e-10)
 
+    def test_noisy_function_stops_on_short_step(self):
+        # noise of 1e-12 keeps Newton from closing the bracket on its own;
+        # a step below xtol/2 must end the iteration
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.tanh(4.0 * (x - 0.3)) + 1e-12 * math.sin(1e6 * x)
+
+        df = lambda x: 4.0 / math.cosh(4.0 * (x - 0.3)) ** 2
+        root = newton_bracketed(f, df, -1.5, 1.5, x0=1.0, xtol=1e-10, max_iter=80)
+        assert root == pytest.approx(0.3, abs=1e-10)
+        assert len(calls) <= 12
+
     def test_requires_sign_change(self):
         with pytest.raises(BracketError):
             newton_bracketed(lambda x: 1.0, lambda x: 0.0, 0.0, 1.0)
