@@ -76,7 +76,7 @@ def _run_exact(ns) -> dict:
     columns = ["n", "d", "h1", "h2", "ln_facets"]
     rows = [[n_out, params.d, window.h1, window.h2, count.ln()]]
     if ns.cdf_points:
-        law = exact.TypicalHeightLaw(params, exact.height_integral(params, cfg=cfg), cfg)
+        law = exact.TypicalHeightLaw.for_params(params, cfg)
         _, heights, cdf = exact.cdf_table(law, ns.cdf_points)
         step = max(1, len(heights) // ns.cdf_points)
         table_rows = [
@@ -186,7 +186,7 @@ def _run_compare(ns) -> dict:
             result.origin_inside_freq / (1.0 - miss) if miss < 1.0 else math.nan,
         ],
     ]
-    law = exact.TypicalHeightLaw(params, exact.height_integral(params, cfg=cfg), cfg)
+    law = exact.TypicalHeightLaw.for_params(params, cfg)
     _, heights, cdf = exact.cdf_table(law)
     ks = montecarlo.ks_distance(result.pooled_heights, heights, cdf)
     rows.append(["pooled_height_ks", 0.0, ks, math.nan, math.nan, math.nan])
@@ -244,21 +244,16 @@ def _run_verify(ns) -> dict:
     ]
     failures = len(bounds.violations)
 
-    oracle_bad = 0
-    checked = 0
-    for n in range(3, 21):
-        f = exact.expected_facets(exact.PolytopeParams(n, 2)).to_float()
-        checked += 1
-        oracle_bad += abs(f - n) > 1e-6 * n
-    for d in range(2, 11):
-        f = exact.expected_facets(exact.PolytopeParams(d + 1, d)).to_float()
-        checked += 1
-        oracle_bad += abs(f - (d + 1)) > 1e-6 * (d + 1)
-    for n in range(5, 21):
-        f = exact.expected_facets(exact.PolytopeParams(n, 3)).to_float()
-        checked += 1
-        oracle_bad += abs(f - (2 * n - 4)) > 1e-6 * (2 * n - 4)
-    rows.append(["facet_count_oracles", checked, oracle_bad])
+    oracles = [
+        *((exact.PolytopeParams(n, 2), n) for n in range(3, 21)),
+        *((exact.PolytopeParams(d + 1, d), d + 1) for d in range(2, 11)),
+        *((exact.PolytopeParams(n, 3), 2 * n - 4) for n in range(5, 21)),
+    ]
+    oracle_bad = sum(
+        abs(exact.expected_facets(params).to_float() - want) > 1e-6 * want
+        for params, want in oracles
+    )
+    rows.append(["facet_count_oracles", len(oracles), oracle_bad])
     failures += oracle_bad
 
     const_bad = 0

@@ -243,8 +243,10 @@ class _Segment:
     """A log-integrand on [lo, hi] with its peak already located.
 
     The variable is the gap u, or t = ln(u) when ``log_gap`` is set.  A
-    peak of -inf gives no bound, so such a segment is always integrated,
-    unless ``zero_if_flat`` marks it as taken to be zero.
+    segment with a peak of -inf gets no panels: E is -inf exactly on an
+    upper stretch of gaps, because ln n + ln(-ln G) grows with the gap,
+    and ``_locate_peak`` returns -inf only when f_log(lo) is -inf, so
+    such a segment is -inf throughout.
     """
 
     f_log: Callable[[float], float]
@@ -253,18 +255,15 @@ class _Segment:
     mode: float
     peak: float
     log_gap: bool = False
-    zero_if_flat: bool = False
 
     @property
     def bound_ln(self) -> float:
         """ln(peak * width), an upper bound on ln of the segment's integral."""
-        if self.peak == _NEG_INF:
-            return math.inf
         return self.peak + math.log(self.hi - self.lo)
 
     def panels(self, cfg: AccuracyConfig, reference_ln: float) -> list:
-        """The converged quadrature panels; none for a segment taken as zero."""
-        if self.zero_if_flat and self.peak == _NEG_INF:
+        """The converged quadrature panels; none for a segment of zero mass."""
+        if self.peak == _NEG_INF:
             return []
         # skip a segment that cannot move the reference total at rel_tol
         if self.bound_ln < reference_ln + math.log(cfg.rel_tol) - 40.0:
@@ -304,7 +303,7 @@ def _log_slice_segment(f_u: _GapIntegrand, u_lo: float, t_hi: float) -> _Segment
             step *= 2.0
             t_lo = mode - step
         t_lo = max(t_lo, floor)
-    return _Segment(f_t, t_lo, t_hi, mode, peak, log_gap=True, zero_if_flat=True)
+    return _Segment(f_t, t_lo, t_hi, mode, peak, log_gap=True)
 
 
 def _located_segments(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) -> list:
@@ -414,6 +413,8 @@ class TypicalHeightLaw:
 
     def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
         """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)]."""
+        if u_lo == 0.0 and t_hi >= _LN_PI:
+            return 1.0
         ln_j = self.normalizer.ln()
         part_ln, _ = _integrated_segments(
             _GapIntegrand(self.params), u_lo, math.exp(t_hi), t_hi, self.cfg, ln_j

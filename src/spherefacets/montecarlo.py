@@ -40,6 +40,8 @@ __all__ = [
 HALFSPACE_TOL = 1e-9
 CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
+# the largest stacked tensor of one census stack holds at most this many floats
+_STACK_FLOATS = 2**16
 
 
 class DegenerateSampleError(RuntimeError):
@@ -130,84 +132,84 @@ def _subset_array(n: int, d: int) -> np.ndarray:
     return np.array(list(combinations(range(n), d)), dtype=np.intp)
 
 
-def facet_census(
-    points: np.ndarray,
-    subsets: np.ndarray | None = None,
-    halfspace_tol: float = HALFSPACE_TOL,
-    cond_limit: float = CONDITION_LIMIT,
-    keep_records: bool = False,
-) -> CensusSummary:
+def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> list:
+    """Census a stack of replicates, points of shape (R, n, d).
+
+    Returns one CensusSummary per replicate, or None for a replicate in
+    which a non-vertex point ties a candidate hyperplane within
+    ``HALFSPACE_TOL``.  The linear algebra runs once over the whole
+    stack; every check is applied per replicate.
+    """
+    _, n, d = points.shape
+    mats = points[:, subsets]  # (R, C, d, d)
+    singulars = np.linalg.svd(mats, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = singulars[..., 0] / singulars[..., -1]
+    usable = np.isfinite(cond) & (cond < CONDITION_LIMIT)
+    # unusable systems get the identity, so one solve covers the stack
+    mats[~usable] = np.eye(d)
+    sol = np.linalg.solve(mats, np.ones(mats.shape[:-1] + (1,)))[..., 0]
+    norms = np.linalg.norm(sol, axis=-1)
+    normals = sol / norms[..., None]
+    heights = 1.0 / norms
+
+    side = normals @ points.transpose(0, 2, 1) - heights[..., None]  # (R, C, n)
+    is_vertex = np.zeros((len(subsets), n), dtype=bool)
+    np.put_along_axis(is_vertex, subsets, True, axis=1)
+    dist = np.abs(side)
+    residual = dist.max(axis=-1, where=is_vertex, initial=0.0)
+    solved = usable & (residual <= VERTEX_RESIDUAL_TOL)
+    tied = np.any(solved & np.any((dist < HALFSPACE_TOL) & ~is_vertex, axis=-1), axis=-1)
+    below = solved & np.all((side <= -HALFSPACE_TOL) | is_vertex, axis=-1)
+    above = solved & np.all((side >= HALFSPACE_TOL) | is_vertex, axis=-1)
+
+    def summary(r: int) -> CensusSummary:
+        facet_heights = np.concatenate([heights[r, below[r]], -heights[r, above[r]]])
+        records = [
+            FacetRecord(tuple(subsets[i]), sign * normals[r, i], float(sign * heights[r, i]))
+            for mask, sign in ((below, 1.0), (above, -1.0)) if keep_records
+            for i in np.flatnonzero(mask[r])
+        ]
+        count = len(facet_heights)
+        skipped = int(np.count_nonzero(~solved[r]))
+        if skipped == 0 and count < d + 1:
+            raise RuntimeError(
+                f"census found {count} facets with no skips; every polytope has >= d+1"
+            )
+        min_height = float(facet_heights.min()) if count else math.nan
+        return CensusSummary(
+            facet_count=count,
+            heights=facet_heights,
+            min_height=min_height,
+            origin_inside=bool(count and min_height > 0.0),
+            skipped_subsets=skipped,
+            records=records,
+        )
+
+    return [None if tied[r] else summary(r) for r in range(len(points))]
+
+
+def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummary:
     """Enumerate all facets of the hull of the given sphere points.
 
     For each d-subset, the linear system <x_i, u> = 1 yields the
     hyperplane through the subset (normalized to a unit normal u and
     height h > 0); the subset spans a facet when every remaining point
-    falls strictly on one side.  Near-singular systems are skipped and
-    tallied; any remaining point within ``halfspace_tol`` of the plane
-    raises DegenerateSampleError.
+    falls strictly on one side.  Systems with condition number at or
+    above ``CONDITION_LIMIT``, or whose solution misses a vertex by more
+    than ``VERTEX_RESIDUAL_TOL``, are skipped and tallied; any remaining
+    point within ``HALFSPACE_TOL`` of the plane raises
+    DegenerateSampleError.  This is the census ``estimate`` runs, on a
+    stack of one replicate.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    if subsets is None:
-        subsets = _subset_array(n, d)
-
-    mats = points[subsets]  # (C, d, d)
-    singulars = np.linalg.svd(mats, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = singulars[:, 0] / singulars[:, -1]
-    usable = np.isfinite(cond) & (cond < cond_limit)
-    skipped = int(np.count_nonzero(~usable))
-
-    sub = subsets[usable]
-    sol = np.linalg.solve(mats[usable], np.ones((int(usable.sum()), d, 1)))[:, :, 0]
-    norms = np.linalg.norm(sol, axis=1)
-    normals = sol / norms[:, None]
-    heights = 1.0 / norms
-
-    side = normals @ points.T - heights[:, None]  # (C_ok, n)
-    rows = np.arange(len(sub))[:, None]
-    residual = np.abs(side[rows, sub]).max(axis=1)
-    solved = residual <= VERTEX_RESIDUAL_TOL
-    skipped += int(np.count_nonzero(~solved))
-    sub, normals, heights, side = sub[solved], normals[solved], heights[solved], side[solved]
-
-    is_vertex = np.zeros(side.shape, dtype=bool)
-    np.put_along_axis(is_vertex, sub, True, axis=1)
-    masked_low = np.where(is_vertex, -np.inf, side)
-    masked_high = np.where(is_vertex, np.inf, side)
-    if np.any(np.abs(masked_high) < halfspace_tol):
+    (summary,) = _census(points[None], _subset_array(n, d), keep_records)
+    if summary is None:
         raise DegenerateSampleError(
             "a non-vertex point ties a candidate hyperplane within tolerance"
         )
-    below = np.all(masked_low <= -halfspace_tol, axis=1)
-    above = np.all(masked_high >= halfspace_tol, axis=1)
-
-    facet_heights = np.concatenate([heights[below], -heights[above]])
-    records: list = []
-    if keep_records:
-        for idx in np.flatnonzero(below):
-            records.append(
-                FacetRecord(tuple(sub[idx]), normals[idx].copy(), float(heights[idx]))
-            )
-        for idx in np.flatnonzero(above):
-            records.append(
-                FacetRecord(tuple(sub[idx]), -normals[idx], float(-heights[idx]))
-            )
-
-    count = int(len(facet_heights))
-    if skipped == 0 and count < d + 1:
-        raise RuntimeError(
-            f"census found {count} facets with no skips; every polytope has >= d+1"
-        )
-    min_height = float(facet_heights.min()) if count else math.nan
-    return CensusSummary(
-        facet_count=count,
-        heights=facet_heights,
-        min_height=min_height,
-        origin_inside=bool(count and min_height > 0.0),
-        skipped_subsets=skipped,
-        records=records,
-    )
+    return summary
 
 
 @dataclass
@@ -267,51 +269,48 @@ class EnsembleReport:
 def estimate(spec: EnsembleSpec) -> EnsembleReport:
     """Run the ensemble: census every replicate and aggregate estimators.
 
-    Replicate r (attempt a, after degenerate redraws) uses the stream
-    seeded by SeedSequence(seed, spawn_key=(r, a)); the report is a
-    deterministic function of the spec.
+    Replicate r, attempt a, uses the stream seeded by
+    SeedSequence(seed, spawn_key=(r, a)); the report is a deterministic
+    function of the spec.  A worklist of (replicate, attempt) pairs is
+    censused in stacks whose largest tensor holds at most
+    ``_STACK_FLOATS`` floats.  A replicate with a half-space tie is
+    redrawn alone, as (r, a + 1) at the end of the worklist, and counted
+    in ``degenerate_resamples``; after 1000 attempts estimate raises
+    RuntimeError.
     """
     n, d = int(spec.params.n), spec.params.d
     subsets = _subset_array(n, d)
-    counts = np.empty(spec.replicates, dtype=np.intp)
-    mins = np.empty(spec.replicates)
-    inside = np.empty(spec.replicates, dtype=bool)
-    pooled = []
-    all_records: list | None = [] if spec.keep_records else None
-    skipped = 0
-    degenerate = 0
-    for rep in range(spec.replicates):
-        for attempt in range(1000):
-            rng = np.random.default_rng(
+    # the largest stacked tensors are (R, C, n) and (R, C, d, d)
+    stack = max(1, _STACK_FLOATS // (len(subsets) * max(n, d * d)))
+    summaries: list = [None] * spec.replicates
+    work = [(rep, 0) for rep in range(spec.replicates)]
+    degenerate = done = 0
+    while done < len(work):
+        batch = work[done : done + stack]
+        done += len(batch)
+        points = np.stack([
+            sample_sphere(n, d, np.random.default_rng(
                 np.random.SeedSequence(spec.seed, spawn_key=(rep, attempt))
-            )
-            points = sample_sphere(n, d, rng)
-            try:
-                summary = facet_census(
-                    points, subsets=subsets, keep_records=spec.keep_records
-                )
-            except DegenerateSampleError:
-                degenerate += 1
+            ))
+            for rep, attempt in batch
+        ])
+        for (rep, attempt), summary in zip(batch, _census(points, subsets, spec.keep_records)):
+            if summary is not None:
+                summaries[rep] = summary
                 continue
-            break
-        else:
-            raise RuntimeError(f"replicate {rep} degenerate after 1000 redraws")
-        counts[rep] = summary.facet_count
-        mins[rep] = summary.min_height
-        inside[rep] = summary.origin_inside
-        pooled.append(summary.heights)
-        skipped += summary.skipped_subsets
-        if all_records is not None:
-            all_records.append(summary.records)
+            degenerate += 1
+            if attempt + 1 == 1000:
+                raise RuntimeError(f"replicate {rep} degenerate after 1000 redraws")
+            work.append((rep, attempt + 1))
     return EnsembleReport(
         spec=spec,
-        counts=counts,
-        pooled_heights=np.concatenate(pooled),
-        min_heights=mins,
-        origin_inside=inside,
-        skipped_subsets=skipped,
+        counts=np.array([s.facet_count for s in summaries], dtype=np.intp),
+        pooled_heights=np.concatenate([s.heights for s in summaries]),
+        min_heights=np.array([s.min_height for s in summaries]),
+        origin_inside=np.array([s.origin_inside for s in summaries], dtype=bool),
+        skipped_subsets=sum(s.skipped_subsets for s in summaries),
         degenerate_resamples=degenerate,
-        records_by_replicate=all_records,
+        records_by_replicate=[s.records for s in summaries] if spec.keep_records else None,
     )
 
 

@@ -330,6 +330,14 @@ class TestTypicalHeightLaw:
         statistic = (1 - q * q) * n / 4.0  # n Gamma(3/2) / (2 sqrt(pi) Gamma(2)) = n/4
         assert statistic == pytest.approx(gamma2_median, rel=1e-3)
 
+    def test_huge_n_quantiles_sit_at_one(self):
+        """ln n = 3000, d = 4: the mass sits at gaps far below float
+        resolution of theta, so every quantile is 1 and CDF(1/2) is 0."""
+        law = TypicalHeightLaw.for_params(PolytopeParams.from_log(3000.0, 4))
+        for p in (0.05, 0.5, 0.95):
+            assert typical_height_quantile(law, p) == pytest.approx(1.0, abs=1e-10)
+        assert typical_height_cdf(law, 0.5) == 0.0
+
 
 class TestGammaStatistic:
     def test_large_y_limit_is_positive_mass(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spherefacets import montecarlo
 from spherefacets import (
     DegenerateSampleError,
     EnsembleSpec,
@@ -18,6 +19,20 @@ from spherefacets import (
     sample_sphere,
     write_facet_csv,
 )
+
+
+# a fourth point within tolerance of the plane through two others
+TIE_POINTS = np.array(
+    [[1.0, 0.0], [0.0, 1.0], [math.cos(1e-13), math.sin(1e-13)], [-1.0, 0.0]]
+)
+
+
+def _stream(seed, rep, attempt):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, attempt)))
+
+
+def _per_replicate_heights(report):
+    return np.split(report.pooled_heights, np.cumsum(report.counts)[:-1])
 
 
 class TestSampling:
@@ -134,6 +149,42 @@ class TestEnsemble:
         se = math.sqrt(want * (1 - want) / n_pool) * 3.0
         # pooled heights are weakly dependent within replicates; allow 2x
         assert abs(report.negative_height_fraction - want) < 2.0 * se + 0.01
+
+    def test_stacks_keep_replicate_streams(self):
+        """(12, 4) censuses 8 replicates per stack, so 20 cross stack
+        boundaries; each must still equal a census of its own stream."""
+        report = estimate(EnsembleSpec(PolytopeParams(12, 4), replicates=20, seed=3))
+        singles = [facet_census(sample_sphere(12, 4, _stream(3, r, 0))) for r in range(20)]
+        assert report.degenerate_resamples == 0
+        assert np.array_equal(report.counts, [s.facet_count for s in singles])
+        assert np.array_equal(
+            report.pooled_heights, np.concatenate([s.heights for s in singles])
+        )
+
+    def test_degenerate_replicate_redrawn_alone(self, monkeypatch):
+        spec = EnsembleSpec(PolytopeParams(4, 2), replicates=6, seed=11)
+        clean = estimate(spec)
+        real_sample = montecarlo.sample_sphere
+        calls = []
+
+        def tie_on_second_call(n, d, seed):
+            calls.append(seed)
+            return TIE_POINTS.copy() if len(calls) == 2 else real_sample(n, d, seed)
+
+        monkeypatch.setattr(montecarlo, "sample_sphere", tie_on_second_call)
+        report = estimate(spec)
+        assert report.degenerate_resamples == 1
+        assert len(calls) == 7
+        others = [0, 2, 3, 4, 5]
+        assert np.array_equal(report.counts[others], clean.counts[others])
+        assert np.array_equal(report.min_heights[others], clean.min_heights[others])
+        assert np.array_equal(report.origin_inside[others], clean.origin_inside[others])
+        heights, clean_heights = _per_replicate_heights(report), _per_replicate_heights(clean)
+        for r in others:
+            assert np.array_equal(heights[r], clean_heights[r])
+        redrawn = facet_census(real_sample(4, 2, _stream(11, 1, 1)))
+        assert report.counts[1] == redrawn.facet_count
+        assert np.array_equal(heights[1], redrawn.heights)
 
     def test_report_dict_fields(self):
         spec = EnsembleSpec(PolytopeParams(8, 3), replicates=20, seed=1)
