@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 HALFSPACE_TOL = 1e-9
+# a system is usable when cond_2 < CONDITION_LIMIT.  Since
+# cond_2(A) <= ||A||_F^d / |det A|, a bound below CONDITION_LIMIT / 2 (the
+# factor 2 absorbs rounding in slogdet's LU) certifies a system without an
+# SVD; only systems the bound cannot certify go to the SVD.
 CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
 # the largest stacked tensor of one census stack holds at most this many floats
@@ -129,7 +133,31 @@ def sample_sphere(n: int, d: int, seed) -> np.ndarray:
 
 
 def _subset_array(n: int, d: int) -> np.ndarray:
-    return np.array(list(combinations(range(n), d)), dtype=np.intp)
+    flat = chain.from_iterable(combinations(range(n), d))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(n, d) * d).reshape(-1, d)
+
+
+def _well_conditioned(mats: np.ndarray) -> np.ndarray:
+    """Mask of the d x d systems in ``mats`` with cond_2 < CONDITION_LIMIT.
+
+    The determinant bound decides almost every system; the SVD rule
+    decides the rest, so the mask is the SVD rule's on every system.
+    """
+    d = mats.shape[-1]
+    # a singular system has logdet = -inf, so its bound is +inf or NaN
+    _, logdet = np.linalg.slogdet(mats)
+    fro2 = np.einsum("...ij,...ij->...", mats, mats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_bound = 0.5 * d * np.log(fro2) - logdet
+    # a squared norm that underflows to a subnormal or 0 understates the bound
+    usable = (fro2 >= np.finfo(float).tiny) & (log_bound < math.log(CONDITION_LIMIT / 2))
+    rest = ~usable
+    if rest.any():
+        singulars = np.linalg.svd(mats[rest], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = singulars[..., 0] / singulars[..., -1]
+        usable[rest] = np.isfinite(cond) & (cond < CONDITION_LIMIT)
+    return usable
 
 
 def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> list:
@@ -142,10 +170,7 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> list
     """
     _, n, d = points.shape
     mats = points[:, subsets]  # (R, C, d, d)
-    singulars = np.linalg.svd(mats, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = singulars[..., 0] / singulars[..., -1]
-    usable = np.isfinite(cond) & (cond < CONDITION_LIMIT)
+    usable = _well_conditioned(mats)
     # unusable systems get the identity, so one solve covers the stack
     mats[~usable] = np.eye(d)
     sol = np.linalg.solve(mats, np.ones(mats.shape[:-1] + (1,)))[..., 0]
@@ -199,8 +224,12 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     above ``CONDITION_LIMIT``, or whose solution misses a vertex by more
     than ``VERTEX_RESIDUAL_TOL``, are skipped and tallied; any remaining
     point within ``HALFSPACE_TOL`` of the plane raises
-    DegenerateSampleError.  This is the census ``estimate`` runs, on a
-    stack of one replicate.
+    DegenerateSampleError.  The condition test uses the bound
+    cond_2(A) <= ||A||_F^d / |det A| from ``slogdet``: a bound below
+    CONDITION_LIMIT / 2 (the factor 2 covers rounding in the LU) accepts a
+    system, and an SVD decides only the systems the bound cannot accept,
+    so the skipped systems are exactly those of the SVD rule.  This is the
+    census ``estimate`` runs, on a stack of one replicate.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape

@@ -1,5 +1,6 @@
 """Sampling, facet census, and ensemble estimators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -104,6 +105,63 @@ class TestCensus:
         )
         with pytest.raises(DegenerateSampleError):
             facet_census(pts)
+
+    @pytest.mark.parametrize(
+        "points, facets, skipped",
+        [
+            (np.vstack([np.eye(2), -np.eye(2)]), 4, 2),
+            (np.vstack([np.eye(3), -np.eye(3)]), 8, 12),
+        ],
+        ids=["square", "octahedron"],
+    )
+    def test_singular_subsets_skipped(self, points, facets, skipped):
+        """Every subset holding an antipodal pair is an exactly singular
+        system: it is skipped and tallied, never a facet."""
+        summary = facet_census(points)
+        assert summary.facet_count == facets
+        assert summary.skipped_subsets == skipped
+        np.testing.assert_allclose(summary.heights, 1.0 / math.sqrt(points.shape[1]))
+
+
+def _svd_rule(mats):
+    singulars = np.linalg.svd(mats, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = singulars[..., 0] / singulars[..., -1]
+    return np.isfinite(cond) & (cond < montecarlo.CONDITION_LIMIT)
+
+
+class TestConditionGuard:
+    RATIOS = (1e-6, 0.5, 0.9, 0.999, 1.001, 1.1, 10.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_svd_rule(self, d):
+        """Systems with cond_2 = ratio * CONDITION_LIMIT, built as
+        Q1 diag(sigma) Q2, with a geometric spectrum or one small singular
+        value, plus an exactly singular system, at several scales."""
+        rng = np.random.default_rng(d)
+        mats = []
+        for ratio in self.RATIOS:
+            smallest = 1.0 / (ratio * montecarlo.CONDITION_LIMIT)
+            for sigma in (np.geomspace(1.0, smallest, d), np.r_[np.ones(d - 1), smallest]):
+                for _ in range(10):
+                    q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                    q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                    mats.append(q1 * sigma @ q2)
+        singular = rng.standard_normal((d, d))
+        singular[-1] = singular[0]
+        mats = np.array(mats + [singular])
+        # the last scale underflows the squared Frobenius norm
+        for scale in (1.0, 1e-3, 1e3, 1e-170):
+            scaled = mats * scale
+            want = _svd_rule(scaled)
+            assert np.array_equal(montecarlo._well_conditioned(scaled), want)
+            # 20 systems per ratio: the first ratio is usable, the last is not
+            assert want[:20].all() and not want[-21:].any()
+
+    def test_subset_array_order(self):
+        for n, d in ((4, 2), (7, 3), (6, 6)):
+            want = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
+            assert np.array_equal(montecarlo._subset_array(n, d), want)
 
 
 class TestEnsemble:
