@@ -6,22 +6,17 @@ uniform points on the unit sphere in R^d, and cross-validates the
 formulas against Monte Carlo facet censuses.
 """
 
-from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY, SPECIAL_ACCURACY
+from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY
 from .numerics import (
     BoundsReport,
-    c_alpha,
     check_bounds_suite,
     gauss_beta_norm,
-    inner_cdf,
-    log_gamma,
     log_inner_cdf,
-    log_inner_cdf_c,
     log_norm_cdf,
     log_reg_inc_beta,
     norm_cdf,
     random_bounds_grid,
     reg_inc_beta,
-    reg_inc_beta_c,
     scaled_beta_cdf,
 )
 from .quadrature import QuadratureError

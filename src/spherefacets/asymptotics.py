@@ -31,6 +31,7 @@ exponential growth rate of the facet count.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -62,6 +63,7 @@ __all__ = [
     "facet_count_asymptotic",
     "TypicalHeightAsymptotic",
     "typical_height_asymptotic",
+    "glasauer_schneider_constant",
     "HausdorffAsymptotic",
     "hausdorff_asymptotic",
     "radius_from_height",
@@ -264,19 +266,10 @@ def rate_argmax(rho: float, xtol: float = 1e-12) -> float:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    hi = 1.0
-    for _ in range(200):
-        if height_rate_prime(rho, hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError(f"failed to bracket the rate maximum for rho={rho}")
+    slope = functools.partial(height_rate_prime, rho)
+    hi = _first_negative(slope, 0.0, 1.0, "rate maximum", rho)
     return newton_bracketed(
-        lambda r: height_rate_prime(rho, r),
-        lambda r: height_rate_second(rho, r),
-        0.0,
-        hi,
-        xtol=xtol,
+        slope, functools.partial(height_rate_second, rho), 0.0, hi, xtol=xtol
     )
 
 
@@ -290,27 +283,23 @@ def count_rate_roots(rho: float, xtol: float = 1e-12) -> tuple:
     peak = rate_argmax(rho)
     if not count_rate(rho, peak) > 0.0:
         raise ArithmeticError(f"count rate is not positive at its peak for rho={rho}")
+    rate = functools.partial(count_rate, rho)
+    hi = _first_negative(rate, peak, 1.0, "upper root", rho)
+    lo = _first_negative(rate, peak, -1.0, "lower root", rho)
+    return bisect_root(rate, lo, peak, xtol=xtol), bisect_root(rate, peak, hi, xtol=xtol)
+
+
+def _first_negative(f, origin: float, direction: float, what: str, rho: float) -> float:
+    """origin + direction * 2^k at the first k = 0, 1, ..., 199 where f < 0."""
     step = 1.0
-    hi = peak + step
     for _ in range(200):
-        if count_rate(rho, hi) < 0.0:
-            break
+        x = origin + direction * step
+        if f(x) < 0.0:
+            return x
         step *= 2.0
-        hi = peak + step
-    else:
-        raise ArithmeticError(f"failed to bracket the upper root for rho={rho}")
-    r_high = bisect_root(lambda r: count_rate(rho, r), peak, hi, xtol=xtol)
-    step = 1.0
-    lo = peak - step
-    for _ in range(200):
-        if count_rate(rho, lo) < 0.0:
-            break
-        step *= 2.0
-        lo = peak - step
-    else:
-        raise ArithmeticError(f"failed to bracket the lower root for rho={rho}")
-    r_low = bisect_root(lambda r: count_rate(rho, r), lo, peak, xtol=xtol)
-    return r_low, r_high
+    raise ArithmeticError(
+        f"failed to bracket the {what} for rho={rho}: f >= 0 from {origin} to {x}"
+    )
 
 
 # ----------------------------------------------------------------------

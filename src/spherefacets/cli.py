@@ -42,7 +42,7 @@ def _quad_cfg(ns) -> AccuracyConfig:
     tol = getattr(ns, "rel_tol", None)
     if tol is None:
         return QUADRATURE_ACCURACY
-    return AccuracyConfig(rel_tol=tol, max_iter=QUADRATURE_ACCURACY.max_iter)
+    return AccuracyConfig(rel_tol=tol)
 
 
 def _regime_from(ns) -> asym.RegimeSpec:

@@ -9,8 +9,8 @@ is
     J[h1, h2] = integral( (1 - h^2)**((d*d - 2*d - 1)/2) * G(h)**(n - d),
                           h = h1 .. h2 ),
 
-where G is the single-point height CDF (``numerics.inner_cdf``) and
-c_out normalizes (1 - h^2)**((d*d - 2*d - 1)/2) on [-1, 1].  The typical
+where G is the single-point height CDF (ln G is ``numerics.log_inner_cdf``)
+and c_out normalizes (1 - h^2)**((d*d - 2*d - 1)/2) on [-1, 1].  The typical
 facet height has CDF J[-1, h] / J[-1, 1].
 
 Numerically everything runs on the substitution h = sin(theta), which

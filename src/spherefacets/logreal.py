@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LogReal", "AccuracyConfig", "log_add_exp", "log_sub_exp"]
+__all__ = ["LogReal", "AccuracyConfig", "QUADRATURE_ACCURACY", "log_add_exp", "log_sub_exp"]
 
 _NEG_INF = float("-inf")
 
@@ -202,14 +202,15 @@ def _coerce(x) -> LogReal:
 
 @dataclass(frozen=True)
 class AccuracyConfig:
-    """Accuracy knobs shared by the special functions and the quadrature.
+    """Accuracy of the facet-count quadrature.
 
-    ``rel_tol`` is a relative error target and ``max_iter`` bounds the
-    iteration count (continued-fraction terms, panel splits, bisections).
+    ``rel_tol`` is the relative error target of an integral and
+    ``max_iter`` bounds its panel splits.  The special functions do not
+    take one: they run at their own fixed, tighter accuracy.
     """
 
-    rel_tol: float = 1e-12
-    max_iter: int = 500
+    rel_tol: float = 1e-9
+    max_iter: int = 4000
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -218,6 +219,4 @@ class AccuracyConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-# library-wide defaults: special functions run tighter than quadrature
-SPECIAL_ACCURACY = AccuracyConfig(rel_tol=1e-12, max_iter=500)
-QUADRATURE_ACCURACY = AccuracyConfig(rel_tol=1e-9, max_iter=4000)
+QUADRATURE_ACCURACY = AccuracyConfig()

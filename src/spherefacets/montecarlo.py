@@ -230,8 +230,17 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     system, and an SVD decides only the systems the bound cannot accept,
     so the skipped systems are exactly those of the SVD rule.  This is the
     census ``estimate`` runs, on a stack of one replicate.
+
+    ``points`` must be a finite (n, d) array with n > d >= 2, else
+    ValueError.  ``HALFSPACE_TOL`` and ``VERTEX_RESIDUAL_TOL`` are
+    absolute, so the points are meant to lie on the unit sphere.
     """
     points = np.asarray(points, dtype=float)
+    if not (points.ndim == 2 and 2 <= points.shape[1] < points.shape[0]
+            and np.isfinite(points).all()):
+        raise ValueError(
+            f"points must be a finite (n, d) array with n > d >= 2, got shape {points.shape}"
+        )
     n, d = points.shape
     (summary,) = _census(points[None], _subset_array(n, d), keep_records)
     if summary is None:

@@ -1,12 +1,14 @@
 """Log-domain special functions.
 
 Everything downstream (the facet-count integrand, the rate functions,
-the Monte Carlo cross-checks) is built on the four primitives here:
-log-gamma, the standard normal CDF, the regularized incomplete beta
-function, and the normalizing constants of the symmetric beta densities
+the Monte Carlo cross-checks) is built on the three primitives here:
+the standard normal CDF, the regularized incomplete beta function, and
+the normalizing constants of the symmetric beta densities
 ``(1 - t**2)**alpha`` on [-1, 1].  All of them are usable in log scale so
 that quantities like ``(1 - G(h))**(n - d)`` stay meaningful when the
-linear values underflow.
+linear values underflow.  The incomplete beta runs at one fixed
+accuracy: its series and continued fraction stop once a term changes
+the value by less than 1e-13 relative, and give up after 500 terms.
 
 The module also hosts the inequality checkers used by the verification
 suite: the exponential sandwich for ``(1 - x/n)**n``, the two-sided bound
@@ -21,23 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logreal import AccuracyConfig, LogReal, SPECIAL_ACCURACY
-
 __all__ = [
-    "log_gamma",
     "norm_pdf",
     "norm_cdf",
     "log_norm_cdf",
     "reg_inc_beta",
-    "reg_inc_beta_c",
     "log_reg_inc_beta",
     "log_reg_inc_beta_from_log_x",
-    "c_alpha",
     "log_c_alpha",
     "gauss_beta_norm",
-    "inner_cdf",
     "log_inner_cdf",
-    "log_inner_cdf_c",
     "scaled_beta_cdf",
     "BoundsReport",
     "Violation",
@@ -48,6 +43,9 @@ __all__ = [
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _NEG_INF = float("-inf")
+# incomplete-beta stop test (relative size of a term) and term cap
+_STOP = 0.1 * 1e-12
+_MAX_TERMS = 500
 
 
 class ConvergenceError(ArithmeticError):
@@ -55,15 +53,8 @@ class ConvergenceError(ArithmeticError):
 
 
 # ----------------------------------------------------------------------
-# gamma and normal
+# normal distribution
 # ----------------------------------------------------------------------
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def norm_pdf(h: float) -> float:
     return math.exp(-0.5 * h * h - LOG_SQRT_2PI)
@@ -100,7 +91,7 @@ def log_norm_cdf(h: float) -> float:
 # regularized incomplete beta
 # ----------------------------------------------------------------------
 
-def _beta_cf(a: float, b: float, x: float, cfg: AccuracyConfig) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for I_x(a, b) (modified Lentz recurrence)."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -110,8 +101,8 @@ def _beta_cf(a: float, b: float, x: float, cfg: AccuracyConfig) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    stop = 0.1 * cfg.rel_tol
-    for m in range(1, cfg.max_iter + 1):
+    stop = _STOP
+    for m in range(1, _MAX_TERMS + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -139,17 +130,17 @@ def _beta_cf(a: float, b: float, x: float, cfg: AccuracyConfig) -> float:
     )
 
 
-def _beta_series_log(a: float, b: float, x: float, cfg: AccuracyConfig) -> float:
+def _beta_series_log(a: float, b: float, x: float) -> float:
     """ln I_x(a, b) by the ascending series; intended for small x."""
     # int_0^x t^(a-1)(1-t)^(b-1) dt = x^a * sum_k (1-b)_k x^k / (k! (a+k))
     term = 1.0 / a
     total = term
     coeff = 1.0
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, _MAX_TERMS + 1):
         coeff *= (k - b) * x / k
         term = coeff / (a + k)
         total += term
-        if abs(term) < 0.1 * cfg.rel_tol * abs(total):
+        if abs(term) < _STOP * abs(total):
             break
     else:
         raise ConvergenceError(f"incomplete beta series stalled at a={a}, b={b}, x={x}")
@@ -157,9 +148,7 @@ def _beta_series_log(a: float, b: float, x: float, cfg: AccuracyConfig) -> float
     return a * math.log(x) + math.log(total) - log_beta
 
 
-def log_reg_inc_beta(
-    x: float, a: float, b: float, cfg: AccuracyConfig = SPECIAL_ACCURACY
-) -> float:
+def log_reg_inc_beta(x: float, a: float, b: float) -> float:
     """ln I_x(a, b) for the regularized incomplete beta I_x(a, b).
 
     Stays accurate when I_x underflows linearly (arbitrarily far into the
@@ -179,22 +168,20 @@ def log_reg_inc_beta(
         return math.log(0.5)
     switch = (a + 1.0) / (a + b + 2.0)
     if x > switch:
-        log_comp = log_reg_inc_beta(1.0 - x, b, a, cfg)
+        log_comp = log_reg_inc_beta(1.0 - x, b, a)
         if log_comp >= 0.0:
             return _NEG_INF
         return math.log1p(-math.exp(log_comp))
     if x * (b + 1.0) < 0.1 and x < 0.05:
-        return _beta_series_log(a, b, x, cfg)
+        return _beta_series_log(a, b, x)
     log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     log_pre = a * math.log(x) + b * math.log1p(-x) - math.log(a) - log_beta
-    val = log_pre + math.log(_beta_cf(a, b, x, cfg))
+    val = log_pre + math.log(_beta_cf(a, b, x))
     # the direct branch computes a sub-central probability; tolerate rounding
     return min(val, 0.0)
 
 
-def log_reg_inc_beta_from_log_x(
-    log_x: float, a: float, b: float, cfg: AccuracyConfig = SPECIAL_ACCURACY
-) -> float:
+def log_reg_inc_beta_from_log_x(log_x: float, a: float, b: float) -> float:
     """ln I_x(a, b) with x supplied as ln(x); x may be below float range.
 
     For log_x <= -250 the ascending series collapses to its first term
@@ -203,25 +190,14 @@ def log_reg_inc_beta_from_log_x(
     if log_x > 0.0:
         raise ValueError(f"log_x must be <= 0, got {log_x}")
     if log_x > -250.0:
-        return log_reg_inc_beta(math.exp(log_x), a, b, cfg)
+        return log_reg_inc_beta(math.exp(log_x), a, b)
     log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return a * log_x - math.log(a) - log_beta
 
 
-def reg_inc_beta(
-    x: float, a: float, b: float, cfg: AccuracyConfig = SPECIAL_ACCURACY
-) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) in linear scale."""
-    return math.exp(log_reg_inc_beta(x, a, b, cfg))
-
-
-def reg_inc_beta_c(
-    x: float, a: float, b: float, cfg: AccuracyConfig = SPECIAL_ACCURACY
-) -> float:
-    """1 - I_x(a, b) computed as I_{1-x}(b, a): no cancellation near x = 1."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return math.exp(log_reg_inc_beta(1.0 - x, b, a, cfg))
+    return math.exp(log_reg_inc_beta(x, a, b))
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +209,6 @@ def log_c_alpha(alpha: float) -> float:
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     return math.lgamma(alpha + 1.5) - 0.5 * math.log(math.pi) - math.lgamma(alpha + 1.0)
-
-
-def c_alpha(alpha: float) -> LogReal:
-    """Normalizing constant with c * integral((1-t^2)^alpha, -1, 1) = 1."""
-    return LogReal.from_log(log_c_alpha(alpha))
 
 
 def gauss_beta_norm(alpha: float) -> float:
@@ -255,7 +226,7 @@ def gauss_beta_norm(alpha: float) -> float:
     )
 
 
-def log_inner_cdf(h: float, d: int, cfg: AccuracyConfig = SPECIAL_ACCURACY) -> float:
+def log_inner_cdf(h: float, d: int) -> float:
     """ln G(h) where G is the CDF of the height of one sphere point.
 
     G(h) is the normalized integral of (1 - s**2)**((d-3)/2) from -1 to h,
@@ -267,23 +238,10 @@ def log_inner_cdf(h: float, d: int, cfg: AccuracyConfig = SPECIAL_ACCURACY) -> f
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
     a = 0.5 * (d - 1)
-    return log_reg_inc_beta(0.5 * (1.0 + h), a, a, cfg)
+    return log_reg_inc_beta(0.5 * (1.0 + h), a, a)
 
 
-def log_inner_cdf_c(h: float, d: int, cfg: AccuracyConfig = SPECIAL_ACCURACY) -> float:
-    """ln(1 - G(h)); by symmetry of the density this is ln G(-h).
-
-    Remains accurate when 1 - G(h) is far below linear float range.
-    """
-    return log_inner_cdf(-h, d, cfg)
-
-
-def inner_cdf(h: float, d: int, cfg: AccuracyConfig = SPECIAL_ACCURACY) -> float:
-    """G(h) in linear scale."""
-    return math.exp(log_inner_cdf(h, d, cfg))
-
-
-def scaled_beta_cdf(h: float, alpha: float, cfg: AccuracyConfig = SPECIAL_ACCURACY) -> float:
+def scaled_beta_cdf(h: float, alpha: float) -> float:
     """CDF of the symmetric beta density rescaled to [-sqrt(alpha), sqrt(alpha)].
 
     This is the finite-support approximant of the normal CDF; it equals
@@ -298,7 +256,7 @@ def scaled_beta_cdf(h: float, alpha: float, cfg: AccuracyConfig = SPECIAL_ACCURA
     if h == 0.0:
         return 0.5
     a = 0.5 * alpha + 1.0
-    return reg_inc_beta(0.5 * (1.0 + h / r), a, a, cfg)
+    return reg_inc_beta(0.5 * (1.0 + h / r), a, a)
 
 
 # ----------------------------------------------------------------------

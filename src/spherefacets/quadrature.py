@@ -22,6 +22,7 @@ from .logreal import LogReal, QUADRATURE_ACCURACY, log_add_exp
 __all__ = ["log_integrate", "QuadratureError", "geometric_ladder", "panel_log_values"]
 
 _NEG_INF = float("-inf")
+_LADDER_LEVELS = 48
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
 _XGK = (
@@ -84,11 +85,14 @@ def _eval_panel(f_log, lo: float, hi: float) -> _Panel:
     return _Panel(lo, hi, log_val, log_err)
 
 
-def geometric_ladder(lo: float, hi: float, center: float, levels: int = 48) -> list:
-    """Panel boundaries clustering geometrically around an interior peak."""
+def geometric_ladder(lo: float, hi: float, center: float) -> list:
+    """Panel boundaries clustering geometrically around an interior peak.
+
+    The offsets from the peak are the span times 2^-1 ... 2^-48.
+    """
     span = hi - lo
     points = {lo, hi}
-    for k in range(1, levels + 1):
+    for k in range(1, _LADDER_LEVELS + 1):
         off = span * 2.0 ** (-k)
         for cand in (center - off, center + off):
             if lo < cand < hi:

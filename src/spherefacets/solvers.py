@@ -12,13 +12,16 @@ import math
 __all__ = ["bisect_root", "newton_bracketed", "golden_max", "BracketError"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# step caps; a search stops sooner once its interval is below xtol
+_BISECT_STEPS = 200
+_GOLDEN_STEPS = 300
 
 
 class BracketError(ValueError):
     """A root bracket could not be established or was invalid."""
 
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 200):
+def bisect_root(f, lo: float, hi: float, xtol: float = 1e-10):
     """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -27,7 +30,7 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 20
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0 or hi - lo < xtol:
@@ -82,7 +85,7 @@ def newton_bracketed(
     return 0.5 * (lo + hi)
 
 
-def golden_max(f, a: float, b: float, xtol: float = 1e-12, max_iter: int = 300):
+def golden_max(f, a: float, b: float, xtol: float = 1e-12):
     """Maximum of a unimodal f on [a, b] by golden-section search.
 
     Returns (x, f(x)).  Tolerance is absolute in x.  -inf values are
@@ -93,7 +96,7 @@ def golden_max(f, a: float, b: float, xtol: float = 1e-12, max_iter: int = 300):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_STEPS):
         if b - a < xtol:
             break
         if fc > fd:

@@ -122,6 +122,15 @@ class TestCensus:
         assert summary.skipped_subsets == skipped
         np.testing.assert_allclose(summary.heights, 1.0 / math.sqrt(points.shape[1]))
 
+    @pytest.mark.parametrize(
+        "points",
+        [np.array([[1.0, 0.0]]), np.full((5, 3), np.nan), np.ones(4), np.eye(3)],
+        ids=["one_point_in_r2", "nan", "one_dimensional", "n_equals_d"],
+    )
+    def test_rejects_malformed_points(self, points):
+        with pytest.raises(ValueError, match="n > d >= 2"):
+            facet_census(points)
+
 
 def _svd_rule(mats):
     singulars = np.linalg.svd(mats, compute_uv=False)
