@@ -17,10 +17,12 @@ Numerically everything runs on the substitution h = sin(theta), which
 removes the d = 2 endpoint singularity and makes the log-integrand
 concave in theta.  The integration variable is the gap u = pi/2 - theta
 to the upper endpoint, because the integrand mass can concentrate within
-u ~ exp(-2 ln(n) / d), far below float resolution of theta itself; the
-slice nearest the endpoint is integrated in log(u).  The peak is located
-by golden-section search before paneling, magnitudes stay in log scale
-throughout, and counts are returned as LogReal.
+u ~ exp(-2 ln(n) / d), far below float resolution of theta itself.  Each
+query is one segment: a window spanning less than a factor 2 in the gap
+is integrated linearly in u, with exact edges, and every other window in
+t = ln(u).  The peak is located by golden-section search before
+paneling, magnitudes stay in log scale throughout, and counts are
+returned as LogReal.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ __all__ = [
 HALF_PI = 0.5 * math.pi
 _NEG_INF = float("-inf")
 _MAX_EXP_ARG = 709.0
-# below this gap from the endpoint, integrate in log(u) space
-_LOG_SLICE_LIMIT = 0.25
+# below this ln(gap), sin(u) = u and (1 - cos u)/2 = (u/2)^2 in float
+_SMALL_LOG_GAP = -40.0
+_SMALL_GAP = math.exp(_SMALL_LOG_GAP)
 _LN_PI = math.log(math.pi)
 
 
@@ -159,6 +162,8 @@ class _GapIntegrand:
     nothing cancels no matter how small the gap is.  ``at_log_gap``
     evaluates E at u = exp(t) for gaps below float range (the mass sits
     at gaps ~ exp(-2 ln(n)/d), which underflows once ln n >> 350 d).
+    Both take gaps below exp(``_SMALL_LOG_GAP``) through the small-gap
+    limits, since sin^2(u/2) itself underflows below u ~ 1e-154.
     """
 
     def __init__(self, params: PolytopeParams):
@@ -187,6 +192,8 @@ class _GapIntegrand:
     def __call__(self, u: float) -> float:
         if u <= 0.0 or u >= math.pi:
             return _NEG_INF
+        if u < _SMALL_GAP:
+            return self._small_gap(math.log(u))
         out = 0.0
         if self.p_out:
             v = HALF_PI - u
@@ -204,10 +211,15 @@ class _GapIntegrand:
         return out - math.exp(arg)
 
     def at_log_gap(self, t: float) -> float:
-        """E(exp(t)); for t <= -40 the small-gap limits are exact in float."""
-        if t > -40.0:
+        """E(exp(t)), also for gaps below float range."""
+        if t > _SMALL_LOG_GAP:
             return self(math.exp(t))
-        # sin(u) = u and (1 - cos u)/2 = (u/2)^2 to relative O(u^2)
+        return self._small_gap(t)
+
+    def _small_gap(self, t: float) -> float:
+        """E(exp(t)) for t <= ``_SMALL_LOG_GAP``, where the small-gap limits
+        sin(u) = u and (1 - cos u)/2 = (u/2)^2 (relative O(u^2)) are exact
+        in float."""
         log_gc = log_reg_inc_beta_from_log_x(2.0 * (t - math.log(2.0)), self.a, self.a)
         arg = self.log_m + log_gc
         if arg >= _MAX_EXP_ARG:
@@ -242,7 +254,7 @@ def _locate_peak(f_log, lo: float, hi: float, xtol: float):
 class _Segment:
     """A log-integrand on [lo, hi] with its peak already located.
 
-    The variable is the gap u, or t = ln(u) when ``log_gap`` is set.  A
+    The variable is the gap u for a narrow window, else t = ln(u).  A
     segment with a peak of -inf gets no panels: E is -inf exactly on an
     upper stretch of gaps, because ln n + ln(-ln G) grows with the gap,
     and ``_locate_peak`` returns -inf only when f_log(lo) is -inf, so
@@ -254,19 +266,15 @@ class _Segment:
     hi: float
     mode: float
     peak: float
-    log_gap: bool = False
-
-    @property
-    def bound_ln(self) -> float:
-        """ln(peak * width), an upper bound on ln of the segment's integral."""
-        return self.peak + math.log(self.hi - self.lo)
 
     def panels(self, cfg: AccuracyConfig, reference_ln: float) -> list:
         """The converged quadrature panels; none for a segment of zero mass."""
         if self.peak == _NEG_INF:
             return []
-        # skip a segment that cannot move the reference total at rel_tol
-        if self.bound_ln < reference_ln + math.log(cfg.rel_tol) - 40.0:
+        # skip a segment whose peak * width bound cannot move the reference
+        # total at rel_tol
+        bound_ln = self.peak + math.log(self.hi - self.lo)
+        if bound_ln < reference_ln + math.log(cfg.rel_tol) - 40.0:
             return []
         return _converged_panels(
             self.f_log,
@@ -276,66 +284,43 @@ class _Segment:
         )
 
 
-def _linear_segment(f_u, lo: float, hi: float) -> _Segment:
-    mode, peak = _locate_peak(f_u, lo, hi, max((hi - lo) * 1e-12, 1e-300))
-    return _Segment(f_u, lo, hi, mode, peak)
+def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) -> _Segment:
+    """Gaps [u_lo, u_hi] as one located segment; t_hi is ln(u_hi), and
+    u_hi may underflow to zero when u_lo is zero.
 
-
-def _log_slice_segment(f_u: _GapIntegrand, u_lo: float, t_hi: float) -> _Segment:
-    """Gaps [u_lo, exp(t_hi)] in t = ln(gap); u_lo may be zero, else it
-    must lie below exp(t_hi) by more than float resolution of t.
-
-    With u_lo = 0 the lower limit is cut where the integrand has fallen
-    750 log-units below its peak; the truncated mass is a factor
-    exp(-750) of the total, far below any quadrature tolerance.
+    A window with u_hi <= 2 u_lo is integrated linearly in the gap, so its
+    edges stay exact however narrow it is.  Any other window is integrated
+    in t = ln(gap), where it is at least ln 2 wide, far above float
+    resolution of t.  With u_lo = 0 the lower limit is cut where the
+    integrand has fallen 750 log-units below its peak; the truncated mass
+    is a factor exp(-750) of the total, far below any quadrature tolerance.
     """
+    if 0.0 < u_lo and u_hi <= 2.0 * u_lo:
+        mode, peak = _locate_peak(f_u, u_lo, u_hi, max((u_hi - u_lo) * 1e-12, 1e-300))
+        return _Segment(f_u, u_lo, u_hi, mode, peak)
     f_t = lambda t: f_u.at_log_gap(t) + t
-    if u_lo > 0.0:
-        t_lo = math.log(u_lo)
-        mode, peak = _locate_peak(f_t, t_lo, t_hi, 1e-10)
-        return _Segment(f_t, t_lo, t_hi, mode, peak, log_gap=True)
-    floor = min(f_u.t_floor, t_hi - 1.0)
-    mode, peak = _locate_peak(f_t, floor, t_hi, 1e-10)
-    t_lo = floor
-    if peak != _NEG_INF:
-        t_lo, step = mode - 1.0, 1.0
+    t_lo = math.log(u_lo) if u_lo > 0.0 else min(f_u.t_floor, t_hi - 1.0)
+    mode, peak = _locate_peak(f_t, t_lo, t_hi, 1e-10)
+    if u_lo == 0.0 and peak != _NEG_INF:
+        floor, t_lo, step = t_lo, mode - 1.0, 1.0
         while t_lo > floor and f_t(t_lo) > peak - 750.0:
             step *= 2.0
             t_lo = mode - step
         t_lo = max(t_lo, floor)
-    return _Segment(f_t, t_lo, t_hi, mode, peak, log_gap=True)
+    return _Segment(f_t, t_lo, t_hi, mode, peak)
 
 
-def _located_segments(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) -> list:
-    """Gaps [u_lo, u_hi] as located segments, in ln(gap) below
-    ``_LOG_SLICE_LIMIT`` and linear above, largest bound first.  t_hi is
-    ln(u_hi), and u_hi may underflow to zero when u_lo is zero."""
-    cross = min(_LOG_SLICE_LIMIT, u_hi)
-    segments = []
-    if u_lo == 0.0 or cross - u_lo > 1e-14 * cross:
-        segments.append(_log_slice_segment(f_u, u_lo, min(math.log(_LOG_SLICE_LIMIT), t_hi)))
-    elif u_lo < cross:
-        # too narrow for ln(gap), whose float values may coincide
-        segments.append(_linear_segment(f_u, u_lo, cross))
-    if max(u_lo, cross) < u_hi:
-        segments.append(_linear_segment(f_u, max(u_lo, cross), u_hi))
-    return sorted(segments, key=lambda seg: seg.bound_ln, reverse=True)
+def _integrated_segment(f_u, u_lo, u_hi, t_hi, cfg, reference_ln=_NEG_INF) -> tuple:
+    """(ln of the integral, segment, converged panels) over the gaps
+    [u_lo, u_hi] of ``_located_segment``; the engine of every height query.
 
-
-def _integrated_segments(f_u, u_lo, u_hi, t_hi, cfg, reference_ln=_NEG_INF) -> tuple:
-    """(ln of the integral, [(segment, converged panels)]) over the gaps
-    [u_lo, u_hi] of ``_located_segments``; the engine of every height query.
-
-    A segment whose bound cannot move the total so far, or
-    ``reference_ln`` (such as a CDF's normalizer), gets no panels.
-    Raises QuadratureError if ``cfg`` cannot be met.
+    A segment whose bound cannot move ``reference_ln`` (such as a CDF's
+    normalizer) gets no panels and an integral of zero.  Raises
+    QuadratureError if ``cfg`` cannot be met.
     """
-    total_ln, parts = _NEG_INF, []
-    for seg in _located_segments(f_u, u_lo, u_hi, t_hi):
-        panels = seg.panels(cfg, max(reference_ln, total_ln))
-        total_ln = log_add_exp(total_ln, _log_total(p.log_val for p in panels))
-        parts.append((seg, panels))
-    return total_ln, parts
+    seg = _located_segment(f_u, u_lo, u_hi, t_hi)
+    panels = seg.panels(cfg, reference_ln)
+    return _log_total(p.log_val for p in panels), seg, panels
 
 
 def height_integral(
@@ -345,9 +330,8 @@ def height_integral(
 ) -> LogReal:
     """The height-window integral J[h1, h2], as a LogReal.
 
-    Gaps below ``_LOG_SLICE_LIMIT`` are integrated in ln(gap), the rest
-    linearly.  The segment with the larger peak * width bound goes
-    first; the other is skipped when its bound cannot move that total.
+    The window is one segment in the gap u = pi/2 - theta: linear in u
+    when it spans less than a factor 2 in u, else in ln(u).
 
     Raises QuadratureError (with the achieved error estimate) if the
     panel budget ``cfg.max_iter`` is exhausted before ``cfg.rel_tol``.
@@ -355,7 +339,7 @@ def height_integral(
     if window.is_empty():
         return LogReal.zero()
     u_lo, u_hi = window.gap2, window.gap1
-    total_ln, _ = _integrated_segments(_GapIntegrand(params), u_lo, u_hi, math.log(u_hi), cfg)
+    total_ln, _, _ = _integrated_segment(_GapIntegrand(params), u_lo, u_hi, math.log(u_hi), cfg)
     return LogReal.from_log(total_ln)
 
 
@@ -416,7 +400,7 @@ class TypicalHeightLaw:
         if u_lo == 0.0 and t_hi >= _LN_PI:
             return 1.0
         ln_j = self.normalizer.ln()
-        part_ln, _ = _integrated_segments(
+        part_ln, _, _ = _integrated_segment(
             _GapIntegrand(self.params), u_lo, math.exp(t_hi), t_hi, self.cfg, ln_j
         )
         return min(math.exp(part_ln - ln_j), 1.0)
@@ -439,17 +423,13 @@ def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
 
     Newton runs on the angular variable theta = arcsin(h), inside a
     bisection bracket, with the exact density exp(E(pi/2 - theta)) / J as
-    the derivative and the integrand's mode as the start; the angular
-    tolerance bounds the height error.
+    the derivative and the mode of the full-range integrand in ln(gap) as
+    the start; the angular tolerance bounds the height error.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     f_u = _GapIntegrand(law.params)
-    modes = [
-        math.exp(seg.mode) if seg.log_gap else seg.mode
-        for seg in _located_segments(f_u, 0.0, math.pi, _LN_PI)
-    ]
-    mode_gap = max(modes, key=f_u)
+    mode_gap = math.exp(_located_segment(f_u, 0.0, math.pi, _LN_PI).mode)
     theta = newton_bracketed(
         lambda t: law._mass_of_gaps(HALF_PI - t) - p,
         lambda t: math.exp(f_u(HALF_PI - t) - law.normalizer.ln()),
@@ -498,28 +478,26 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     from -pi/2 to pi/2.
 
     Rows are placed in proportion to mass: each converged panel of the
-    full-range quadrature is cut into 1 + floor(num * its share of the
-    mass) cells, so no cell holds more than 1/num of it, and the CDF at
-    each row is a prefix sum of the cells, as accurate as the quadrature.
+    full-range quadrature (one segment in ln(gap)) is cut into
+    1 + floor(num * its share of the mass) cells, so no cell holds more
+    than 1/num of it, and the CDF at each row is a prefix sum of the
+    cells, as accurate as the quadrature.  The table opens with one
+    massless row at the gap pi (h = -1) and closes at the gap 0.
     Where the mass lies below float resolution of theta at pi/2, rows
     collapse to theta = pi/2 and h = 1, but their CDF values stay right.
     """
-    total_ln, parts = _integrated_segments(
+    # the full range is one segment in t = ln(gap)
+    total_ln, seg, panels = _integrated_segment(
         _GapIntegrand(law.params), 0.0, math.pi, _LN_PI, law.cfg
     )
     share_ln = total_ln - math.log(num)
-    # rows run from the largest gap down: the linear segment, then the log
-    # slice, each starting with a massless row at its upper end
-    gaps, cells = [], []
-    for seg, panels in sorted(parts, key=lambda part: part[0].log_gap):
-        ends, seg_cells = [seg.hi], [_NEG_INF]
-        for pan in sorted(panels, key=lambda pan: pan.lo, reverse=True):
-            edges = np.linspace(pan.lo, pan.hi, 2 + int(math.exp(pan.log_val - share_ln)))
-            ends.extend(edges[-2::-1])
-            seg_cells.extend(reversed(panel_log_values(seg.f_log, edges)))
-        gaps.append(np.exp(ends) if seg.log_gap else np.array(ends))
-        cells.extend(seg_cells)
+    # rows run from the largest gap down, starting with a massless row at pi
+    ends, cells = [seg.hi], [_NEG_INF]
+    for pan in sorted(panels, key=lambda pan: pan.lo, reverse=True):
+        edges = np.linspace(pan.lo, pan.hi, 2 + int(math.exp(pan.log_val - share_ln)))
+        ends.extend(edges[-2::-1])
+        cells.extend(reversed(panel_log_values(seg.f_log, edges)))
     # the last row closes the table at theta = pi/2
-    gaps = np.concatenate([*gaps, [0.0]])
+    gaps = np.append(np.exp(ends), 0.0)
     prefix = np.fromiter(itertools.accumulate([*cells, _NEG_INF], log_add_exp), float)
     return HALF_PI - gaps, np.cos(gaps), np.exp(prefix - prefix[-1])

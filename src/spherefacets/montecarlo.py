@@ -5,7 +5,8 @@ facets are found by brute force: every d-subset whose affine hull leaves
 all remaining points strictly on one side is a facet.  That is the
 defining criterion itself rather than a fast hull algorithm, which keeps
 this module independent from the quadrature path it cross-checks; the
-``subset_cap`` guard keeps the O(C(n, d)) enumeration at desk scale.
+``subset_cap`` guard and a memory budget keep the O(C(n, d)) enumeration
+at desk scale.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
 attempt), so reports are reproducible and independent of scheduling.
@@ -46,10 +47,23 @@ CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
 # the largest stacked tensor of one census stack holds at most this many floats
 _STACK_FLOATS = 2**16
+# the largest per-replicate tensor, C(n, d) * max(n, d^2) floats, may hold at
+# most this many (1 GiB); a census peaks at 3-4.5x that in resident memory
+_REPLICATE_FLOATS = 2**27
 
 
 class DegenerateSampleError(RuntimeError):
     """A non-vertex point ties the supporting hyperplane within tolerance."""
+
+
+def _check_memory_budget(n: int, d: int) -> None:
+    """ValueError unless one replicate's census fits ``_REPLICATE_FLOATS``."""
+    subsets = math.comb(n, d)
+    if subsets * max(n, d * d) > _REPLICATE_FLOATS:
+        raise ValueError(
+            f"census of n={n}, d={d} needs C({n}, {d}) = {subsets} subsets times "
+            f"{max(n, d * d)} floats, over the budget of {_REPLICATE_FLOATS} floats"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +86,7 @@ class EnsembleSpec:
             raise ValueError(
                 f"C({n}, {d}) = {math.comb(n, d)} exceeds subset_cap={self.subset_cap}"
             )
+        _check_memory_budget(n, d)
 
 
 @dataclass(frozen=True)
@@ -231,9 +246,11 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     so the skipped systems are exactly those of the SVD rule.  This is the
     census ``estimate`` runs, on a stack of one replicate.
 
-    ``points`` must be a finite (n, d) array with n > d >= 2, else
-    ValueError.  ``HALFSPACE_TOL`` and ``VERTEX_RESIDUAL_TOL`` are
-    absolute, so the points are meant to lie on the unit sphere.
+    ``points`` must be a finite (n, d) array with n > d >= 2, and the
+    census's largest tensor, C(n, d) * max(n, d^2) floats, must fit
+    ``_REPLICATE_FLOATS``, else ValueError.  ``HALFSPACE_TOL`` and
+    ``VERTEX_RESIDUAL_TOL`` are absolute, so the points are meant to lie
+    on the unit sphere.
     """
     points = np.asarray(points, dtype=float)
     if not (points.ndim == 2 and 2 <= points.shape[1] < points.shape[0]
@@ -242,6 +259,7 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
             f"points must be a finite (n, d) array with n > d >= 2, got shape {points.shape}"
         )
     n, d = points.shape
+    _check_memory_budget(n, d)
     (summary,) = _census(points[None], _subset_array(n, d), keep_records)
     if summary is None:
         raise DegenerateSampleError(

@@ -90,17 +90,39 @@ class TestWindows:
         assert w.gap1 == 1e-12 and w.gap2 == 0.0
         assert w.h2 == 1.0
 
-    def test_one_ulp_window_below_log_slice_limit(self):
-        """Gaps [g - ulp, g] with g < 1/4, where exp(ln g) may round below
-        g; on the circle the integrand in the gap is ((pi - u)/pi)^(n-2)."""
-        hi = 0.1911798801251769
-        lo = math.nextafter(hi, 0.0)
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (math.nextafter(0.1911798801251769, 0.0), 0.1911798801251769),
+            (1e-30, 1e-30 * (1.0 + 1e-12)),
+            (1e-100, 1e-100 * (1.0 + 3e-14)),
+            (1e-200, 1e-200 * (1.0 + 1e-13)),
+            (1e-290, 1e-290 * (1.0 + 4e-14)),
+        ],
+        ids=["one_ulp", "1e-30", "1e-100", "1e-200", "1e-290"],
+    )
+    def test_one_ulp_window_below_log_slice_limit(self, lo, hi):
+        """Gap windows [lo, hi] one ulp to 1e-12 relative wide, which ln(gap)
+        resolves coarsely or not at all; on the circle the integrand in the
+        gap is ((pi - u)/pi)^(n-2), and hi - lo is exact (Sterbenz)."""
         half_pi = 0.5 * math.pi
         w = HeightInterval(math.cos(hi), math.cos(lo), half_pi - hi, half_pi - lo, hi, lo)
         n = 25
-        want = ((math.pi - hi) / math.pi) ** (n - 2) * (hi - lo)
-        got = height_integral(PolytopeParams(n, 2), w).to_float()
-        assert got == pytest.approx(want, rel=1e-12)
+        want_ln = math.log(hi - lo) + (n - 2) * math.log((math.pi - hi) / math.pi)
+        got = height_integral(PolytopeParams(n, 2), w)
+        assert got.ln() == pytest.approx(want_ln, abs=1e-12)
+
+    def test_narrow_window_at_huge_n_stays_below_full_count(self):
+        """ln n = 3000, d = 4 on gaps [1e-200, 1e-200 (1 + 1e-15)]: G's
+        (n - d) term must survive the underflow of sin^2(u/2) there, so the
+        count is zero or at most the full count."""
+        p = PolytopeParams.from_log(3000.0, 4)
+        lo = 1e-200
+        hi = lo * (1.0 + 1e-15)
+        half_pi = 0.5 * math.pi
+        w = HeightInterval(math.cos(hi), math.cos(lo), half_pi - hi, half_pi - lo, hi, lo)
+        f = expected_facets(p, w)
+        assert f.is_zero() or f.ln() <= expected_facets(p).ln()
 
 
 class TestFacetCountOracles:
@@ -264,9 +286,10 @@ class TestTypicalHeightLaw:
     def test_huge_n_mass_above_log_slice_limit_against_mpmath(self):
         """ln n = 1000, d = 2000: the mass sits at gap u ~ 0.656, and E(u)
         is -inf (exp overflow of (n - d) * -ln G) from u ~ 1.05 up, so the
-        peak search on the linear segment [1/4, pi] meets -inf at both of
-        its first probes.  The oracle integrates exp(E(u)) in mpmath over
-        mode +- 2e-4 (E falls by > 200 there), with G from mpmath.betainc."""
+        peak search over the full range and the CDF windows meets -inf at
+        probes above the mode.  The oracle integrates exp(E(u)) in mpmath
+        over mode +- 2e-4 (E falls by > 200 there), with G from
+        mpmath.betainc."""
         d = 2000
         law = TypicalHeightLaw.for_params(PolytopeParams.from_log(1000.0, d))
         gaps = (0.5, 0.6561, 0.65613, 0.65616, 0.66, 1.0, 2.0)

@@ -183,6 +183,19 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             EnsembleSpec(PolytopeParams.from_log(900.0, 30), replicates=1, seed=0)
 
+    def test_memory_budget(self, monkeypatch):
+        # (1414, 2) passes the default subset_cap, but its side tensor alone
+        # would hold 1.4e9 floats; only the spec is built
+        with pytest.raises(ValueError, match="n=1414, d=2"):
+            EnsembleSpec(PolytopeParams(1414, 2), replicates=1, seed=0)
+        with pytest.raises(ValueError, match="C\\(180, 3\\) = 955860"):
+            EnsembleSpec(PolytopeParams(180, 3), replicates=1, seed=0)
+        EnsembleSpec(PolytopeParams(100, 3), replicates=1, seed=0)
+        # facet_census checks before building any census array
+        monkeypatch.setattr(montecarlo, "_REPLICATE_FLOATS", 1000)
+        with pytest.raises(ValueError, match="budget of 1000 floats"):
+            facet_census(sample_sphere(12, 4, seed=0))
+
     def test_deterministic_reports(self):
         spec = EnsembleSpec(PolytopeParams(12, 4), replicates=50, seed=21)
         a, b = estimate(spec), estimate(spec)
