@@ -55,7 +55,6 @@ from .asymptotics import (
     limit_height,
     origin_outside_prob,
     parse_family,
-    radius_from_height,
     rate_argmax,
     typical_height_asymptotic,
 )

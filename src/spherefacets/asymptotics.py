@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .exact import PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
-from .numerics import log_norm_cdf, norm_cdf, norm_pdf
+from .numerics import _log_gamma_half_ratio, log_norm_cdf, norm_cdf, norm_pdf
 from .solvers import bisect_root, newton_bracketed
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "glasauer_schneider_constant",
     "HausdorffAsymptotic",
     "hausdorff_asymptotic",
-    "radius_from_height",
     "origin_outside_prob",
     "laplace_approx",
 ]
@@ -316,9 +315,8 @@ def facets_per_vertex_limit(d: int) -> LogReal:
         + (0.5 * d - 1.0) * math.log(math.pi)
         - math.log(d)
         - 2.0 * math.log(d - 1.0)
-        + math.lgamma(q + 1.0)
-        - math.lgamma(q + 0.5)
-        + (d - 1.0) * (math.lgamma(0.5 * (d + 1)) - math.lgamma(0.5 * d))
+        + _log_gamma_half_ratio(q + 0.5)
+        + (d - 1.0) * _log_gamma_half_ratio(0.5 * d)
     )
     return LogReal.from_log(ln_k)
 
@@ -508,8 +506,8 @@ def typical_height_asymptotic(
         )
     if tag == Regime.SUPERFACTORIAL:
         scale_ln = (
-            params.ln_n + math.lgamma(0.5 * d)
-            - math.log(2.0) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
+            params.ln_n - _log_gamma_half_ratio(0.5 * d)
+            - math.log(2.0) - 0.5 * math.log(math.pi)
         )
         return TypicalHeightAsymptotic(
             tag, limit_height(spec, params), None, "gamma",
@@ -523,7 +521,7 @@ def typical_height_asymptotic(
 
 
 # ----------------------------------------------------------------------
-# Hausdorff distance and cap radii
+# Hausdorff distance
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -545,8 +543,7 @@ def glasauer_schneider_constant(d: int) -> float:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     ln_two_c = (2.0 / (d - 1.0)) * (
-        math.log(2.0) + 0.5 * math.log(math.pi)
-        + math.lgamma(0.5 * (d + 1)) - math.lgamma(0.5 * d)
+        math.log(2.0) + 0.5 * math.log(math.pi) + _log_gamma_half_ratio(0.5 * d)
     )
     return 0.5 * math.exp(ln_two_c)
 
@@ -579,17 +576,6 @@ def hausdorff_asymptotic(
                 approx = 0.5 * math.exp(-2.0 * params.ln_n / (params.d - 1.0))
         return HausdorffAsymptotic(tag, 0.0, approx, constant)
     return HausdorffAsymptotic(tag, 1.0, None, None)
-
-
-def radius_from_height(h: float) -> float:
-    """Geodesic radius of the empty spherical cap over a facet at height h.
-
-    The cap {x : <x, u> >= h} has angular radius arccos(h); for h >= 0
-    this coincides with arcsin(sqrt(1 - h^2)).
-    """
-    if not -1.0 <= h <= 1.0:
-        raise ValueError(f"height must lie in [-1, 1], got {h}")
-    return math.acos(h)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ is
 
 where G is the single-point height CDF (ln G is ``numerics.log_inner_cdf``)
 and c_out normalizes (1 - h^2)**((d*d - 2*d - 1)/2) on [-1, 1].  The typical
-facet height has CDF J[-1, h] / J[-1, 1].
+facet height has CDF J[-1, h] / J[-1, 1].  G is a symmetric beta CDF, and
+E reaches it through the one kernel ``numerics._log_half_tail``.
 
 Numerically everything runs on the substitution h = sin(theta), which
 removes the d = 2 endpoint singularity and makes the log-integrand
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY, log_add_exp
-from .numerics import log_c_alpha, log_reg_inc_beta, log_reg_inc_beta_from_log_x
+from .numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
 from .quadrature import _converged_panels, _log_total, geometric_ladder, panel_log_values
 from .solvers import golden_max, newton_bracketed
 
@@ -57,9 +58,8 @@ __all__ = [
 HALF_PI = 0.5 * math.pi
 _NEG_INF = float("-inf")
 _MAX_EXP_ARG = 709.0
-# below this ln(gap), sin(u) = u and (1 - cos u)/2 = (u/2)^2 in float
+# below this ln(gap), sin(u) = u and cos(u) = 1 in float
 _SMALL_LOG_GAP = -40.0
-_SMALL_GAP = math.exp(_SMALL_LOG_GAP)
 _LN_PI = math.log(math.pi)
 
 
@@ -157,13 +157,15 @@ FULL_RANGE = HeightInterval(-1.0, 1.0, -HALF_PI, HALF_PI, math.pi, 0.0)
 class _GapIntegrand:
     """E(u) for h = cos(u): the log-integrand in the gap variable.
 
-    E(u) = (d^2 - 2d) ln sin(u) + (n - d) ln G(cos u), with the beta
-    argument (1 - cos u)/2 = sin^2(u/2) evaluated from u directly, so
-    nothing cancels no matter how small the gap is.  ``at_log_gap``
-    evaluates E at u = exp(t) for gaps below float range (the mass sits
-    at gaps ~ exp(-2 ln(n)/d), which underflows once ln n >> 350 d).
-    Both take gaps below exp(``_SMALL_LOG_GAP``) through the small-gap
-    limits, since sin^2(u/2) itself underflows below u ~ 1e-154.
+    E(u) = (d^2 - 2d) ln sin(u) + (n - d) ln G(cos u).  By the halving
+    identity the tail T = I_{sin^2 u}(a, 1/2) / 2 is 1 - G(cos u) for
+    u <= pi/2 and G(cos u) beyond, so E is one kernel call at ln sin u and
+    ln |cos u|.  Both come from u directly, the smaller of sin u and
+    |cos u| through its log and the larger through log1p of the smaller's
+    square, so nothing cancels near u = 0, pi/2 or pi.  ``at_log_gap``
+    evaluates E at u = exp(t) for gaps below float range (the mass sits at
+    gaps ~ exp(-2 ln(n)/d), which underflows once ln n >> 350 d); below
+    t = ``_SMALL_LOG_GAP``, ln sin u = t in float.
     """
 
     def __init__(self, params: PolytopeParams):
@@ -173,58 +175,33 @@ class _GapIntegrand:
         # left scan limit for ln(u): generously below any possible peak
         self.t_floor = min(-50.0, -2.0 * params.ln_n - 100.0)
 
-    def _log_neg_log_g(self, u: float) -> float:
-        """ln(-ln G(cos u)); +inf encodes G = 0."""
-        s = math.sin(0.5 * u)
-        xc = s * s  # (1 - cos u) / 2
-        if xc < 0.5:
-            log_gc = log_reg_inc_beta(xc, self.a, self.a)
-            gc = math.exp(log_gc)
-            if gc > 1e-8:
-                return math.log(-math.log1p(-gc))
-            return log_gc + math.log1p(0.5 * gc)
-        c = math.cos(0.5 * u)
-        log_g = log_reg_inc_beta(c * c, self.a, self.a)
-        if log_g == _NEG_INF:
-            return math.inf
-        return math.log(-log_g)
-
     def __call__(self, u: float) -> float:
         if u <= 0.0 or u >= math.pi:
             return _NEG_INF
-        if u < _SMALL_GAP:
-            return self._small_gap(math.log(u))
-        out = 0.0
-        if self.p_out:
-            v = HALF_PI - u
-            if abs(v) < 1.0:
-                # ln cos(v): float sin(u) moves in ulp steps of 1.1e-16 near
-                # u = pi/2, which p_out ~ d^2 turns into steps in E
-                s = math.sin(0.5 * v)
-                out = self.p_out * math.log1p(-2.0 * s * s)
-            else:
-                out = self.p_out * math.log(math.sin(u))
-        lnl = self._log_neg_log_g(u)
-        arg = self.log_m + lnl
-        if arg >= _MAX_EXP_ARG:
-            return _NEG_INF
-        return out - math.exp(arg)
+        s, cos_u = math.sin(u), math.cos(u)
+        c = abs(cos_u)
+        if s < c:
+            return self._at(math.log(s), 0.5 * math.log1p(-s * s), cos_u < 0.0)
+        return self._at(0.5 * math.log1p(-c * c), math.log(c), cos_u < 0.0)
 
     def at_log_gap(self, t: float) -> float:
         """E(exp(t)), also for gaps below float range."""
         if t > _SMALL_LOG_GAP:
             return self(math.exp(t))
-        return self._small_gap(t)
+        return self._at(t, 0.0, False)
 
-    def _small_gap(self, t: float) -> float:
-        """E(exp(t)) for t <= ``_SMALL_LOG_GAP``, where the small-gap limits
-        sin(u) = u and (1 - cos u)/2 = (u/2)^2 (relative O(u^2)) are exact
-        in float."""
-        log_gc = log_reg_inc_beta_from_log_x(2.0 * (t - math.log(2.0)), self.a, self.a)
-        arg = self.log_m + log_gc
+    def _at(self, log_s: float, log_c: float, past_half_pi: bool) -> float:
+        """E at the gap with ln sin u = log_s and ln |cos u| = log_c."""
+        log_tail = _log_half_tail(self.a, log_s, log_c)
+        if past_half_pi:
+            lnl = math.log(-log_tail)  # ln(-ln G) with G = T
+        else:
+            tail = math.exp(log_tail)  # T = 1 - G
+            lnl = math.log(-math.log1p(-tail)) if tail > 1e-8 else log_tail + math.log1p(0.5 * tail)
+        arg = self.log_m + lnl
         if arg >= _MAX_EXP_ARG:
             return _NEG_INF
-        return self.p_out * t - math.exp(arg)
+        return self.p_out * log_s - math.exp(arg)
 
 
 def _locate_peak(f_log, lo: float, hi: float, xtol: float):
@@ -344,13 +321,17 @@ def height_integral(
 
 
 def log_binomial(params: PolytopeParams) -> float:
-    """ln binom(n, d); uses the log-only representation when n has one."""
+    """ln binom(n, d); uses the log-only representation when n has one.
+
+    With n given, binom(n, d) = binom(n, k) for k = min(d, n - d) is the
+    product of the k factors (n - k + j)/j, summed in log up to k = 100 000.
+    """
     d = params.d
-    if params.n is not None and d <= 100_000:
+    if params.n is not None:
         n = params.n
-        return math.fsum(
-            math.log(n - d + j) - math.log(j) for j in range(1, d + 1)
-        )
+        k = int(min(d, n - d))
+        if k <= 100_000:
+            return math.fsum(math.log((n - k + j) / j) for j in range(1, k + 1))
     total = d * params.ln_n - math.lgamma(d + 1)
     if params.ln_n < 50.0:
         inv_n = math.exp(-params.ln_n)
@@ -459,8 +440,7 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
         math.log(y)
         + math.log(2.0)
         + 0.5 * math.log(math.pi)
-        + math.lgamma(0.5 * (d + 1))
-        - math.lgamma(0.5 * d)
+        + _log_gamma_half_ratio(0.5 * d)
         - law.params.ln_n
     )
     # 1 - h^2 = t^(2/(d-1)); the gap is arcsin(sqrt(1 - h^2)), and a cap

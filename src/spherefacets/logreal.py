@@ -152,16 +152,6 @@ class LogReal:
     def __abs__(self) -> "LogReal":
         return LogReal(abs(self.sign), self.log_abs)
 
-    def powi(self, k: float) -> "LogReal":
-        """Raise a nonnegative value to a real power."""
-        if self.sign < 0:
-            raise ValueError("powi requires a nonnegative base")
-        if self.sign == 0:
-            if k <= 0:
-                raise ValueError("0 ** nonpositive power")
-            return LogReal.zero()
-        return LogReal(1, self.log_abs * k)
-
     # -- comparisons (by value) ---------------------------------------------
     def _key(self):
         # orderable proxy: sign first, then signed magnitude (zero maps to 0)

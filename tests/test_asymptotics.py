@@ -27,7 +27,6 @@ from spherefacets import (
     limit_height,
     origin_outside_prob,
     parse_family,
-    radius_from_height,
     rate_argmax,
     typical_height_asymptotic,
 )
@@ -328,16 +327,6 @@ class TestTypicalHeightAsymptotics:
 
 
 class TestHausdorff:
-    def test_radius_endpoints(self):
-        assert radius_from_height(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert radius_from_height(1.0) == 0.0
-        assert radius_from_height(0.6) == pytest.approx(math.asin(0.8), rel=1e-12)
-        assert radius_from_height(0.6) == pytest.approx(0.9273, abs=1e-4)
-
-    def test_radius_negative_heights_exceed_quarter_turn(self):
-        assert radius_from_height(-0.5) == pytest.approx(math.pi - math.asin(math.sqrt(0.75)), rel=1e-12)
-        assert radius_from_height(-1.0) == pytest.approx(math.pi, rel=1e-15)
-
     def test_exponential_gap(self):
         spec = RegimeSpec.from_tag("exponential", 1.0)
         est = hausdorff_asymptotic(spec)

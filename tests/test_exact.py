@@ -134,7 +134,7 @@ class TestFacetCountOracles:
 
     def test_simplex_total(self):
         """n = d + 1 points a.s. span a simplex with d + 1 facets."""
-        for d in (2, 5, 9, 15):
+        for d in (2, 5, 9, 15, 1000, 10**4, 10**5, 10**6):
             f = expected_facets(PolytopeParams(d + 1, d)).to_float()
             assert f == pytest.approx(d + 1, rel=1e-9)
 
@@ -184,7 +184,11 @@ class TestFacetCountOracles:
 
     @pytest.mark.parametrize(
         "n, d, pinned",
-        [(405, 400, 0.4211893676), (10**6 + 32, 10**6, 0.4898152905)],
+        [
+            (405, 400, 0.4211893676),
+            (10**6 + 32, 10**6, 0.4898152905),
+            (10**7 + 57, 10**7, 0.4942626778),
+        ],
     )
     def test_typical_height_cdf_high_d_against_mpmath(self, n, d, pinned):
         """P(H <= 0) on n = d + ceil(d^(1/4)), where the peak of E(u) lies

@@ -24,7 +24,7 @@ from spherefacets import (
     reg_inc_beta,
     scaled_beta_cdf,
 )
-from spherefacets.numerics import log_c_alpha, log_reg_inc_beta_from_log_x
+from spherefacets.numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
 
 
 def gauss_legendre_theta(alpha: float, lo: float = -1.0, hi: float = 1.0, m: int = 400):
@@ -138,17 +138,27 @@ class TestRegIncBeta:
             want = float(mpmath.log(mpmath.betainc(a, a, 0, x, regularized=True)))
             assert log_reg_inc_beta(x, a, a) == pytest.approx(want, rel=1e-11)
 
-    def test_log_from_log_x_matches_linear_branch(self):
-        for log_x in (-5.0, -100.0, -249.0, -251.0, -5000.0):
-            a = 7.5
-            got = log_reg_inc_beta_from_log_x(log_x, a, a)
-            if log_x >= -700:
-                ref = log_reg_inc_beta(math.exp(log_x), a, a)
+    def test_half_tail_from_log_s(self):
+        a = 7.5
+        for log_s in (-2.5, -50.0, -124.5, -125.5, -2500.0):
+            got = _log_half_tail(a, log_s, 0.5 * math.log1p(-math.exp(2.0 * log_s)))
+            if log_s >= -350:
+                ref = log_reg_inc_beta(math.exp(2.0 * log_s), a, 0.5) - math.log(2.0)
                 assert got == pytest.approx(ref, rel=1e-10)
             else:
-                # pure power-law regime: slope in log_x equals a
-                got2 = log_reg_inc_beta_from_log_x(log_x - 1.0, a, a)
-                assert got - got2 == pytest.approx(a, rel=1e-12)
+                # pure power-law regime: slope in ln s equals 2a
+                got2 = _log_half_tail(a, log_s - 1.0, 0.0)
+                assert got - got2 == pytest.approx(2.0 * a, rel=1e-12)
+
+    @pytest.mark.parametrize("a, u", [(1.5, 0.3), (33.5, 2.2e-5), (199.5, 0.1), (3.5, 1.5)])
+    def test_half_tail_is_the_symmetric_tail(self, a, u):
+        """ln I_{sin^2(u/2)}(a, a) = ln(I_{sin^2 u}(a, 1/2) / 2) for u <= pi/2."""
+        with mpmath.workdps(40):
+            want = float(mpmath.log(
+                mpmath.betainc(a, a, 0, mpmath.sin(mpmath.mpf(u) / 2) ** 2, regularized=True)
+            ))
+        got = _log_half_tail(a, math.log(math.sin(u)), math.log(math.cos(u)))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_complement_accurate_near_one(self):
         # 1 - I_x at x = 1 - 1e-12 would cancel to noise in linear arithmetic
@@ -184,9 +194,28 @@ class TestCAlpha:
             c = math.exp(log_c_alpha(0.5 * (d - 3)))
             assert math.sqrt((d - 2) / (2 * math.pi)) <= c <= math.sqrt(d / (2 * math.pi))
 
+    @pytest.mark.parametrize("d", [400, 1000, 10**4, 10**5, 10**6, 10**7])
+    def test_outer_constant_against_mpmath(self, d):
+        """c_alpha at the exponent alpha = (d^2 - 2d - 1)/2 of the facet
+        integral, where two lgamma values cancel to a small difference."""
+        alpha = 0.5 * (d * d - 2 * d - 1)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(alpha)
+            want = float(mpmath.loggamma(x + 1.5) - mpmath.loggamma(x + 1) - mpmath.log(mpmath.pi) / 2)
+        assert log_c_alpha(alpha) == pytest.approx(want, abs=1e-13)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             log_c_alpha(-1.0)
+
+
+@pytest.mark.parametrize(
+    "x", [0.5, 1.0, 3.7, 9.999, 10.0, 10.001, 20.0, 123.4, 1e4, 4999999.5, 1e9, 5e13]
+)
+def test_gamma_half_ratio_against_mpmath(x):
+    with mpmath.workdps(40):
+        want = float(mpmath.loggamma(mpmath.mpf(x) + 0.5) - mpmath.loggamma(x))
+    assert _log_gamma_half_ratio(x) == pytest.approx(want, abs=5e-14)
 
 
 class TestInnerCdf:
