@@ -6,7 +6,7 @@ uniform points on the unit sphere in R^d, and cross-validates the
 formulas against Monte Carlo facet censuses.
 """
 
-from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY
+from .logreal import LogReal
 from .numerics import (
     BoundsReport,
     check_bounds_suite,
@@ -51,7 +51,6 @@ from .asymptotics import (
     height_rate,
     height_rate_prime,
     height_window,
-    laplace_approx,
     limit_height,
     origin_outside_prob,
     parse_family,

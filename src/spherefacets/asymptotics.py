@@ -67,10 +67,11 @@ __all__ = [
     "HausdorffAsymptotic",
     "hausdorff_asymptotic",
     "origin_outside_prob",
-    "laplace_approx",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# bracket width at which the rate solvers stop
+_XTOL = 1e-12
 
 
 class Regime(enum.Enum):
@@ -256,7 +257,7 @@ def count_rate(rho: float, r: float) -> float:
     return entropy + height_rate(rho, r)
 
 
-def rate_argmax(rho: float, xtol: float = 1e-12) -> float:
+def rate_argmax(rho: float) -> float:
     """The unique positive maximizer of the height rate.
 
     The rate is strictly increasing left of zero and strictly concave on
@@ -268,11 +269,11 @@ def rate_argmax(rho: float, xtol: float = 1e-12) -> float:
     slope = functools.partial(height_rate_prime, rho)
     hi = _first_negative(slope, 0.0, 1.0, "rate maximum", rho)
     return newton_bracketed(
-        slope, functools.partial(height_rate_second, rho), 0.0, hi, xtol=xtol
+        slope, functools.partial(height_rate_second, rho), 0.0, hi, xtol=_XTOL
     )
 
 
-def count_rate_roots(rho: float, xtol: float = 1e-12) -> tuple:
+def count_rate_roots(rho: float) -> tuple:
     """Zero crossings (r_low, r_high) of the count rate around its maximum.
 
     The maximum value is positive for every rho > 0 and the rate falls to
@@ -285,7 +286,7 @@ def count_rate_roots(rho: float, xtol: float = 1e-12) -> tuple:
     rate = functools.partial(count_rate, rho)
     hi = _first_negative(rate, peak, 1.0, "upper root", rho)
     lo = _first_negative(rate, peak, -1.0, "lower root", rho)
-    return bisect_root(rate, lo, peak, xtol=xtol), bisect_root(rate, peak, hi, xtol=xtol)
+    return bisect_root(rate, lo, peak, xtol=_XTOL), bisect_root(rate, peak, hi, xtol=_XTOL)
 
 
 def _first_negative(f, origin: float, direction: float, what: str, rho: float) -> float:
@@ -603,42 +604,3 @@ def origin_outside_prob(n: int, d: int) -> float:
         log_sum = log_add_exp(log_sum, term)
     return math.exp(log_sum - (n - 1) * math.log(2.0))
 
-
-# ----------------------------------------------------------------------
-# Laplace approximation
-# ----------------------------------------------------------------------
-
-def laplace_approx(
-    f,
-    deriv_value: float,
-    r_star: float,
-    x: float,
-    boundary: str,
-    g=None,
-) -> LogReal:
-    """Peak approximation of integral(g(h) * exp(x * f(h))).
-
-    ``boundary="interior"``: the peak r_star lies inside the range and
-    ``deriv_value`` is f''(r_star) < 0; the estimate is
-    g * exp(x f) * sqrt(2 pi / (x |f''|)).  ``boundary="endpoint"``: the
-    max sits at an endpoint with one-sided decay and ``deriv_value`` is
-    f'(r_star) != 0; the estimate is g * exp(x f) / (x |f'|).
-    """
-    if boundary not in ("interior", "endpoint"):
-        raise ValueError(f"boundary must be 'interior' or 'endpoint', got {boundary!r}")
-    if not x > 0:
-        raise ValueError(f"large parameter must be positive, got {x}")
-    if deriv_value == 0.0:
-        raise ValueError("the supplied derivative value must be nonzero")
-    if boundary == "interior" and deriv_value > 0.0:
-        raise ValueError("interior peak requires a negative second derivative")
-    g_val = 1.0 if g is None else g(r_star)
-    if g_val == 0.0:
-        return LogReal.zero()
-    sign = 1 if g_val > 0 else -1
-    ln = math.log(abs(g_val)) + x * f(r_star)
-    if boundary == "interior":
-        ln += 0.5 * (math.log(2.0 * math.pi) - math.log(x) - math.log(abs(deriv_value)))
-    else:
-        ln -= math.log(x) + math.log(abs(deriv_value))
-    return LogReal.from_log(ln, sign)

@@ -6,7 +6,9 @@ formulas), ``mc`` (Monte Carlo census), ``compare`` (three-way check),
 oracle suites; nonzero exit on any violation).
 
 Every path is a thin adapter over the library modules: the numbers
-emitted are exactly what the corresponding direct calls return.  Exit
+emitted are exactly what the corresponding direct calls return.  The
+quadrature runs at its one fixed accuracy (relative target 1e-9), which
+``exact`` reports as ``rel_tol``; no command takes a tolerance.  Exit
 codes: 0 success, 1 numeric or I/O failure, 2 usage error.
 """
 
@@ -22,8 +24,8 @@ import sys
 import numpy as np
 
 from . import asymptotics as asym
-from . import exact, montecarlo
-from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY
+from . import exact, montecarlo, quadrature
+from .logreal import LogReal
 from .numerics import check_bounds_suite, random_bounds_grid
 from .quadrature import QuadratureError
 
@@ -36,13 +38,6 @@ def _params_from(ns) -> exact.PolytopeParams:
     if ns.n is None:
         raise ValueError("provide --n or --ln-n")
     return exact.PolytopeParams(ns.n, ns.d)
-
-
-def _quad_cfg(ns) -> AccuracyConfig:
-    tol = getattr(ns, "rel_tol", None)
-    if tol is None:
-        return QUADRATURE_ACCURACY
-    return AccuracyConfig(rel_tol=tol)
 
 
 def _regime_from(ns) -> asym.RegimeSpec:
@@ -59,9 +54,8 @@ def _regime_from(ns) -> asym.RegimeSpec:
 
 def _run_exact(ns) -> dict:
     params = _params_from(ns)
-    cfg = _quad_cfg(ns)
     window = exact.HeightInterval(ns.h1, ns.h2)
-    count = exact.expected_facets(params, window, cfg)
+    count = exact.expected_facets(params, window)
     n_out = int(params.n) if params.n is not None else None
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -71,12 +65,12 @@ def _run_exact(ns) -> dict:
         "d": params.d,
         "window": [window.h1, window.h2],
         "facets": count.to_dict(),
-        "rel_tol": cfg.rel_tol,
+        "rel_tol": quadrature.REL_TOL,
     }
     columns = ["n", "d", "h1", "h2", "ln_facets"]
     rows = [[n_out, params.d, window.h1, window.h2, count.ln()]]
     if ns.cdf_points:
-        law = exact.TypicalHeightLaw.for_params(params, cfg)
+        law = exact.TypicalHeightLaw.for_params(params)
         _, heights, cdf = exact.cdf_table(law, ns.cdf_points)
         step = max(1, len(heights) // ns.cdf_points)
         table_rows = [
@@ -157,8 +151,7 @@ def _run_mc(ns) -> dict:
 
 def _run_compare(ns) -> dict:
     params = _params_from(ns)
-    cfg = _quad_cfg(ns)
-    exact_count = exact.expected_facets(params, cfg=cfg).to_float()
+    exact_count = exact.expected_facets(params).to_float()
     spec = montecarlo.EnsembleSpec(
         params, replicates=ns.replicates, seed=ns.seed, subset_cap=ns.subset_cap
     )
@@ -186,7 +179,7 @@ def _run_compare(ns) -> dict:
             result.origin_inside_freq / (1.0 - miss) if miss < 1.0 else math.nan,
         ],
     ]
-    law = exact.TypicalHeightLaw.for_params(params, cfg)
+    law = exact.TypicalHeightLaw.for_params(params)
     _, heights, cdf = exact.cdf_table(law)
     ks = montecarlo.ks_distance(result.pooled_heights, heights, cdf)
     rows.append(["pooled_height_ks", 0.0, ks, math.nan, math.nan, math.nan])
@@ -213,12 +206,11 @@ def _run_compare(ns) -> dict:
 
 
 def _run_scan(ns) -> dict:
-    cfg = _quad_cfg(ns)
     rows = []
     for n in range(ns.n_start, ns.n_stop + 1, ns.n_step):
         params = exact.PolytopeParams(n, ns.d)
         window = exact.HeightInterval(ns.h1, ns.h2)
-        count = exact.expected_facets(params, window, cfg)
+        count = exact.expected_facets(params, window)
         row = [n, ns.d, count.ln(), count.to_float()]
         if ns.regime or ns.family:
             spec = _regime_from(ns)
@@ -333,10 +325,6 @@ def _add_common(p):
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
 
 
-def _add_rel_tol(p):
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-
-
 def _add_regime(p, family_help=None):
     p.add_argument("--family", default=None, help=family_help)
     p.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
@@ -365,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--h1", type=float, default=-1.0)
     p.add_argument("--h2", type=float, default=1.0)
-    _add_rel_tol(p)
     p.add_argument("--cdf-points", type=int, default=0,
                    help="emit a typical-height CDF table with this many rows")
     _add_output(p)
@@ -387,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="exact vs Monte Carlo (vs asymptotics)")
     _add_common(p)
     _add_census(p)
-    _add_rel_tol(p)
     _add_regime(p)
     _add_output(p)
 
@@ -398,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-step", type=int, default=1, dest="n_step")
     p.add_argument("--h1", type=float, default=-1.0)
     p.add_argument("--h2", type=float, default=1.0)
-    _add_rel_tol(p)
     _add_regime(p)
     _add_output(p)
 
@@ -424,6 +409,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if getattr(ns, "cdf_points", 0) < 0:
+        parser.error(f"argument --cdf-points: must be >= 0, got {ns.cdf_points}")
     try:
         report = _HANDLERS[ns.subcommand](ns)
         emit(report, ns.format, ns.out)

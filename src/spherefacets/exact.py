@@ -32,13 +32,20 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .logreal import AccuracyConfig, LogReal, QUADRATURE_ACCURACY, log_add_exp
+from . import quadrature
+from .logreal import LogReal, log_add_exp
 from .numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
-from .quadrature import _converged_panels, _log_total, geometric_ladder, panel_log_values
+from .quadrature import (
+    QuadratureError,
+    _converged_panels,
+    _log_total,
+    geometric_ladder,
+    panel_log_values,
+)
 from .solvers import golden_max, newton_bracketed
 
 __all__ = [
@@ -169,6 +176,7 @@ class _GapIntegrand:
     """
 
     def __init__(self, params: PolytopeParams):
+        self.params = params
         self.a = 0.5 * (params.d - 1)  # inner beta parameter
         self.p_out = params.d * params.d - 2 * params.d
         self.log_m = params.log_n_minus_d
@@ -244,20 +252,20 @@ class _Segment:
     mode: float
     peak: float
 
-    def panels(self, cfg: AccuracyConfig, reference_ln: float) -> list:
+    def panels(self, reference_ln: float) -> list:
         """The converged quadrature panels; none for a segment of zero mass."""
         if self.peak == _NEG_INF:
             return []
         # skip a segment whose peak * width bound cannot move the reference
-        # total at rel_tol
+        # total at the quadrature's relative target
         bound_ln = self.peak + math.log(self.hi - self.lo)
-        if bound_ln < reference_ln + math.log(cfg.rel_tol) - 40.0:
+        if bound_ln < reference_ln + math.log(quadrature.REL_TOL) - 40.0:
             return []
         return _converged_panels(
             self.f_log,
             geometric_ladder(self.lo, self.hi, self.mode),
-            rel_tol=cfg.rel_tol,
-            max_panels=cfg.max_iter,
+            quadrature.REL_TOL,
+            quadrature.MAX_SPLITS,
         )
 
 
@@ -287,36 +295,46 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
     return _Segment(f_t, t_lo, t_hi, mode, peak)
 
 
-def _integrated_segment(f_u, u_lo, u_hi, t_hi, cfg, reference_ln=_NEG_INF) -> tuple:
+def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
     """(ln of the integral, segment, converged panels) over the gaps
     [u_lo, u_hi] of ``_located_segment``; the engine of every height query.
 
     A segment whose bound cannot move ``reference_ln`` (such as a CDF's
     normalizer) gets no panels and an integral of zero.  Raises
-    QuadratureError if ``cfg`` cannot be met.
+    QuadratureError, naming (n or ln n, d), the gaps and the split
+    budget, if the quadrature's fixed accuracy cannot be met.
     """
     seg = _located_segment(f_u, u_lo, u_hi, t_hi)
-    panels = seg.panels(cfg, reference_ln)
+    try:
+        panels = seg.panels(reference_ln)
+    except QuadratureError as err:
+        params = f_u.params
+        size = f"n = {params.n:.0f}" if params.n is not None else f"ln n = {params.ln_n!r}"
+        upper = f"{u_hi!r}" if u_hi > 0.0 else f"exp({t_hi!r})"
+        raise QuadratureError(
+            f"height integral at {size}, d = {params.d} over the gaps [{u_lo!r}, {upper}] "
+            f"did not converge within {quadrature.MAX_SPLITS} panel splits",
+            err.log_value,
+            err.rel_err,
+        ) from None
     return _log_total(p.log_val for p in panels), seg, panels
 
 
-def height_integral(
-    params: PolytopeParams,
-    window: HeightInterval = FULL_RANGE,
-    cfg: AccuracyConfig = QUADRATURE_ACCURACY,
-) -> LogReal:
+def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
     """The height-window integral J[h1, h2], as a LogReal.
 
     The window is one segment in the gap u = pi/2 - theta: linear in u
-    when it spans less than a factor 2 in u, else in ln(u).
+    when it spans less than a factor 2 in u, else in ln(u).  The
+    quadrature runs at its one fixed accuracy, a relative target of 1e-9
+    within 4000 panel splits.
 
-    Raises QuadratureError (with the achieved error estimate) if the
-    panel budget ``cfg.max_iter`` is exhausted before ``cfg.rel_tol``.
+    Raises QuadratureError, with the achieved error estimate, if the
+    split budget runs out first.
     """
     if window.is_empty():
         return LogReal.zero()
     u_lo, u_hi = window.gap2, window.gap1
-    total_ln, _, _ = _integrated_segment(_GapIntegrand(params), u_lo, u_hi, math.log(u_hi), cfg)
+    total_ln, _, _ = _integrated_segment(_GapIntegrand(params), u_lo, u_hi, math.log(u_hi))
     return LogReal.from_log(total_ln)
 
 
@@ -339,13 +357,9 @@ def log_binomial(params: PolytopeParams) -> float:
     return total
 
 
-def expected_facets(
-    params: PolytopeParams,
-    window: HeightInterval = FULL_RANGE,
-    cfg: AccuracyConfig = QUADRATURE_ACCURACY,
-) -> LogReal:
+def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
     """Expected number of facets with height in the window, as a LogReal."""
-    integral = height_integral(params, window, cfg)
+    integral = height_integral(params, window)
     if integral.is_zero():
         return LogReal.zero()
     d = params.d
@@ -364,17 +378,14 @@ class TypicalHeightLaw:
 
     params: PolytopeParams
     normalizer: LogReal
-    cfg: AccuracyConfig = field(default=QUADRATURE_ACCURACY, repr=False)
 
     def __post_init__(self):
         if not self.normalizer.sign == 1:
             raise ValueError("normalizer must be positive")
 
     @classmethod
-    def for_params(
-        cls, params: PolytopeParams, cfg: AccuracyConfig = QUADRATURE_ACCURACY
-    ) -> "TypicalHeightLaw":
-        return cls(params, height_integral(params, FULL_RANGE, cfg), cfg)
+    def for_params(cls, params: PolytopeParams) -> "TypicalHeightLaw":
+        return cls(params, height_integral(params))
 
     def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
         """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)]."""
@@ -382,7 +393,7 @@ class TypicalHeightLaw:
             return 1.0
         ln_j = self.normalizer.ln()
         part_ln, _, _ = _integrated_segment(
-            _GapIntegrand(self.params), u_lo, math.exp(t_hi), t_hi, self.cfg, ln_j
+            _GapIntegrand(self.params), u_lo, math.exp(t_hi), t_hi, ln_j
         )
         return min(math.exp(part_ln - ln_j), 1.0)
 
@@ -466,9 +477,11 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     Where the mass lies below float resolution of theta at pi/2, rows
     collapse to theta = pi/2 and h = 1, but their CDF values stay right.
     """
+    if num < 1:
+        raise ValueError(f"cdf_table needs num >= 1 rows, got num={num}")
     # the full range is one segment in t = ln(gap)
     total_ln, seg, panels = _integrated_segment(
-        _GapIntegrand(law.params), 0.0, math.pi, _LN_PI, law.cfg
+        _GapIntegrand(law.params), 0.0, math.pi, _LN_PI
     )
     share_ln = total_ln - math.log(num)
     # rows run from the largest gap down, starting with a massless row at pi

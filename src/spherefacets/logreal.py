@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LogReal", "AccuracyConfig", "QUADRATURE_ACCURACY", "log_add_exp", "log_sub_exp"]
+__all__ = ["LogReal", "log_add_exp", "log_sub_exp"]
 
 _NEG_INF = float("-inf")
 
@@ -189,24 +189,3 @@ def _coerce(x) -> LogReal:
         return x
     return LogReal.from_float(float(x))
 
-
-@dataclass(frozen=True)
-class AccuracyConfig:
-    """Accuracy of the facet-count quadrature.
-
-    ``rel_tol`` is the relative error target of an integral and
-    ``max_iter`` bounds its panel splits.  The special functions do not
-    take one: they run at their own fixed, tighter accuracy.
-    """
-
-    rel_tol: float = 1e-9
-    max_iter: int = 4000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-QUADRATURE_ACCURACY = AccuracyConfig()

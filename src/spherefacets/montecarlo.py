@@ -97,17 +97,18 @@ class FacetRecord:
     normal: np.ndarray
     height: float
 
-    def verify(self, points: np.ndarray, tol: float = 1e-8) -> bool:
-        """Re-check the defining facet properties from the raw points."""
+    def verify(self, points: np.ndarray) -> bool:
+        """Re-check the defining facet properties from the raw points, to
+        the census's own vertex residual bound ``VERTEX_RESIDUAL_TOL``."""
         u = self.normal
         if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
             return False
         dots = points @ u
         for i in self.vertex_indices:
-            if abs(dots[i] - self.height) > tol:
+            if abs(dots[i] - self.height) > VERTEX_RESIDUAL_TOL:
                 return False
         others = np.setdiff1d(np.arange(len(points)), np.asarray(self.vertex_indices))
-        return bool(np.all(dots[others] <= self.height + tol))
+        return bool(np.all(dots[others] <= self.height + VERTEX_RESIDUAL_TOL))
 
 
 @dataclass

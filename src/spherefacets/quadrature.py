@@ -7,7 +7,9 @@ is evaluated with a 15-point Gauss-Kronrod rule applied to
 ``exp(E - E_max)`` (the max-shift trick), and panels are accumulated in
 log scale.  Callers seed the panel layout with a geometric ladder around
 the peak; the adaptive loop then splits whichever panel dominates the
-error estimate until the relative target is met.
+error estimate until the relative target ``REL_TOL`` is met, within a
+budget of ``MAX_SPLITS`` splits.  Every height query of the package runs
+at this one fixed accuracy; ``log_integrate`` also takes others.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .logreal import LogReal, QUADRATURE_ACCURACY, log_add_exp
+from .logreal import LogReal, log_add_exp
 
 __all__ = ["log_integrate", "QuadratureError", "geometric_ladder", "panel_log_values"]
 
 _NEG_INF = float("-inf")
 _LADDER_LEVELS = 48
+REL_TOL = 1e-9  # relative error target of every integral
+MAX_SPLITS = 4000  # panel splits one integral may spend
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule
 _XGK = (
@@ -138,7 +142,7 @@ def _converged_panels(f_log, boundaries, rel_tol: float, max_panels: int) -> lis
             return panels
         if splits >= max_panels:
             raise QuadratureError(
-                "quadrature did not converge within the panel budget",
+                f"quadrature did not converge within {max_panels} panel splits",
                 total_val,
                 math.exp(total_err - total_val),
             )
@@ -178,8 +182,8 @@ def _log_total(logs) -> float:
 def log_integrate(
     f_log,
     boundaries,
-    rel_tol: float = QUADRATURE_ACCURACY.rel_tol,
-    max_panels: int = QUADRATURE_ACCURACY.max_iter,
+    rel_tol: float = REL_TOL,
+    max_panels: int = MAX_SPLITS,
 ) -> LogReal:
     """Integral of exp(f_log) over the paneled interval, as a LogReal.
 

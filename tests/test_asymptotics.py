@@ -23,7 +23,6 @@ from spherefacets import (
     height_rate,
     height_rate_prime,
     height_window,
-    laplace_approx,
     limit_height,
     origin_outside_prob,
     parse_family,
@@ -351,42 +350,3 @@ class TestHausdorff:
         # d = 3: 2 c_3 = 2 sqrt(pi) Gamma(2) / Gamma(3/2) = 4, so c_3 = 2
         assert c3 == pytest.approx(2.0, rel=1e-14)
 
-
-class TestLaplace:
-    def test_interior_gaussian_vs_quadrature(self):
-        nodes, weights = np.polynomial.legendre.leggauss(400)
-        x = 100.0
-        quad = float(np.dot(weights, np.exp(-0.5 * x * nodes**2)))
-        est = laplace_approx(lambda h: -0.5 * h * h, -1.0, 0.0, x, "interior")
-        assert est.to_float() == pytest.approx(quad, rel=0.01)
-
-    def test_endpoint_exponential_exact(self):
-        # integral(exp(-x h), a, inf) = exp(-x a)/x: the formula is exact
-        a, x = 0.37, 50.0
-        est = laplace_approx(lambda h: -h, -1.0, a, x, "endpoint")
-        assert est.to_float() == pytest.approx(math.exp(-x * a) / x, rel=1e-12)
-
-    def test_error_shrinks_with_x(self):
-        f = lambda h: -0.5 * h * h + 0.2 * h**3
-        nodes, weights = np.polynomial.legendre.leggauss(800)
-        errs = []
-        for x in (10.0, 100.0, 1000.0):
-            quad = float(np.dot(weights, np.exp(x * (-0.5 * nodes**2 + 0.2 * nodes**3))))
-            est = laplace_approx(f, -1.0, 0.0, x, "interior").to_float()
-            errs.append(abs(est / quad - 1.0))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_g_weight_and_sign(self):
-        est = laplace_approx(
-            lambda h: -0.5 * h * h, -1.0, 0.0, 10.0, "interior", g=lambda h: -2.0
-        )
-        assert est.sign == -1
-        assert abs(est.to_float()) == pytest.approx(
-            2.0 * math.sqrt(2 * math.pi / 10.0), rel=1e-12
-        )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            laplace_approx(lambda h: -h, 0.0, 0.0, 10.0, "interior")
-        with pytest.raises(ValueError):
-            laplace_approx(lambda h: -h, 1.0, 0.0, 10.0, "somewhere")

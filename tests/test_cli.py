@@ -141,6 +141,7 @@ class TestEmission:
         report = json.loads(out)
         assert json.loads(json.dumps(report)) == report
         assert report["schema_version"] == 1
+        assert report["rel_tol"] == 1e-9  # the quadrature's fixed target
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
@@ -153,6 +154,12 @@ class TestEmission:
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--n", "9"])  # missing --d
         assert exc.value.code == 2
+
+    def test_negative_cdf_points_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--n", "9", "--d", "3", "--cdf-points", "-5"])
+        assert exc.value.code == 2
+        assert "--cdf-points" in capsys.readouterr().err
 
     def test_numeric_error_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--n", "3", "--d", "5")

@@ -17,7 +17,6 @@ import pytest
 
 from spherefacets import (
     FULL_RANGE,
-    AccuracyConfig,
     HeightInterval,
     PolytopeParams,
     QuadratureError,
@@ -29,6 +28,7 @@ from spherefacets import (
     typical_height_cdf,
     typical_height_quantile,
 )
+from spherefacets import quadrature
 from spherefacets.exact import log_binomial
 from spherefacets.solvers import bisect_root
 
@@ -262,11 +262,17 @@ class TestFacetCountOracles:
         assert f.to_float() == math.inf  # not linearly representable
         assert 2000.0 < f.ln() < 3000.0
 
-    def test_budget_exhaustion_reports_achieved_error(self):
+    def test_budget_exhaustion_reports_achieved_error(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
+        monkeypatch.setattr(quadrature, "MAX_SPLITS", 1)
         p = PolytopeParams(10**6, 3)
         with pytest.raises(QuadratureError) as err:
-            height_integral(p, FULL_RANGE, AccuracyConfig(rel_tol=1e-15, max_iter=1))
+            height_integral(p, FULL_RANGE)
         assert err.value.rel_err > 0
+        message = str(err.value)
+        assert "n = 1000000, d = 3" in message
+        assert f"gaps [0.0, {math.pi!r}]" in message
+        assert "within 1 panel splits" in message
 
 
 class TestTypicalHeightLaw:
@@ -438,3 +444,9 @@ class TestCdfTable:
             for i in band[np.linspace(0, len(band) - 1, 4).astype(int)]:
                 want = typical_height_cdf(law, float(heights[i]))
                 assert cdf[i] == pytest.approx(want, abs=1e-8), (n, d, heights[i])
+
+    @pytest.mark.parametrize("num", [0, -3])
+    def test_needs_a_row(self, num):
+        law = TypicalHeightLaw.for_params(PolytopeParams(12, 4))
+        with pytest.raises(ValueError, match=f"num={num}"):
+            cdf_table(law, num)
