@@ -206,18 +206,18 @@ def _run_compare(ns) -> dict:
 
 
 def _run_scan(ns) -> dict:
+    window = exact.HeightInterval(ns.h1, ns.h2)
+    spec = _regime_from(ns) if ns.regime or ns.family else None
     rows = []
     for n in range(ns.n_start, ns.n_stop + 1, ns.n_step):
         params = exact.PolytopeParams(n, ns.d)
-        window = exact.HeightInterval(ns.h1, ns.h2)
         count = exact.expected_facets(params, window)
         row = [n, ns.d, count.ln(), count.to_float()]
-        if ns.regime or ns.family:
-            spec = _regime_from(ns)
+        if spec is not None:
             row.append(asym.facet_count_asymptotic(spec, params).log_count)
         rows.append(row)
     columns = ["n", "d", "ln_F_exact", "F_exact"]
-    if ns.regime or ns.family:
+    if spec is not None:
         columns.append("ln_F_asym")
     return {
         "schema_version": SCHEMA_VERSION,
@@ -230,7 +230,7 @@ def _run_scan(ns) -> dict:
 
 def _run_verify(ns) -> dict:
     grids = random_bounds_grid(ns.points, ns.seed)
-    bounds = check_bounds_suite(rel_slack=ns.slack, **grids)
+    bounds = check_bounds_suite(**grids)
     rows = [
         ["inequality_suites", bounds.checked, len(bounds.violations)],
     ]
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", type=float, default=-1.0)
     p.add_argument("--h2", type=float, default=1.0)
     p.add_argument("--cdf-points", type=int, default=0,
-                   help="emit a typical-height CDF table with this many rows")
+                   help="emit every (len // N)-th row of the typical-height CDF table "
+                        "cdf_table(law, N): N to 2N rows, not always the h = 1 row")
     _add_output(p)
 
     p = sub.add_parser("asym", help="regime asymptotics (regime must be supplied)")
@@ -390,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the inequality and oracle suites")
     p.add_argument("--points", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slack", type=float, default=1e-12)
     _add_output(p)
 
     return parser

@@ -252,22 +252,6 @@ class _Segment:
     mode: float
     peak: float
 
-    def panels(self, reference_ln: float) -> list:
-        """The converged quadrature panels; none for a segment of zero mass."""
-        if self.peak == _NEG_INF:
-            return []
-        # skip a segment whose peak * width bound cannot move the reference
-        # total at the quadrature's relative target
-        bound_ln = self.peak + math.log(self.hi - self.lo)
-        if bound_ln < reference_ln + math.log(quadrature.REL_TOL) - 40.0:
-            return []
-        return _converged_panels(
-            self.f_log,
-            geometric_ladder(self.lo, self.hi, self.mode),
-            quadrature.REL_TOL,
-            quadrature.MAX_SPLITS,
-        )
-
 
 def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) -> _Segment:
     """Gaps [u_lo, u_hi] as one located segment; t_hi is ln(u_hi), and
@@ -305,8 +289,18 @@ def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
     budget, if the quadrature's fixed accuracy cannot be met.
     """
     seg = _located_segment(f_u, u_lo, u_hi, t_hi)
+    # no panels for a segment of zero mass, or for one whose peak * width
+    # bound cannot move the reference total at the relative target
+    cut_ln = reference_ln + math.log(quadrature.REL_TOL) - 40.0
+    if seg.peak == _NEG_INF or seg.peak + math.log(seg.hi - seg.lo) < cut_ln:
+        return _NEG_INF, seg, []
     try:
-        panels = seg.panels(reference_ln)
+        panels = _converged_panels(
+            seg.f_log,
+            geometric_ladder(seg.lo, seg.hi, seg.mode),
+            quadrature.REL_TOL,
+            quadrature.MAX_SPLITS,
+        )
     except QuadratureError as err:
         params = f_u.params
         size = f"n = {params.n:.0f}" if params.n is not None else f"ln n = {params.ln_n!r}"

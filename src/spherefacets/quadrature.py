@@ -6,8 +6,9 @@ E spanning thousands of log-units and a peak whose width shrinks like
 is evaluated with a 15-point Gauss-Kronrod rule applied to
 ``exp(E - E_max)`` (the max-shift trick), and panels are accumulated in
 log scale.  Callers seed the panel layout with a geometric ladder around
-the peak; the adaptive loop then splits whichever panel dominates the
-error estimate until the relative target ``REL_TOL`` is met, within a
+the peak; the globally adaptive loop (QUADPACK's QAG, Piessens et al.,
+1983) then splits the panel of largest error until the summed error is
+within the relative target ``REL_TOL`` of the summed value, within a
 budget of ``MAX_SPLITS`` splits.  Every height query of the package runs
 at this one fixed accuracy; ``log_integrate`` also takes others.
 """
@@ -15,9 +16,10 @@ at this one fixed accuracy; ``log_integrate`` also takes others.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .logreal import LogReal, log_add_exp
 
@@ -120,7 +122,10 @@ def panel_log_values(f_log, boundaries) -> list:
 
 def _converged_panels(f_log, boundaries, rel_tol: float, max_panels: int) -> list:
     """The paneled interval's panels, split until their summed error
-    estimate is within ``rel_tol`` of their summed value."""
+    estimate is within ``rel_tol`` of their summed value.  The panel of
+    largest error (lowest index on ties) is replaced by its left half and
+    its right half is appended; one at float resolution is kept as it is.
+    """
     boundaries = list(boundaries)
     if len(boundaries) < 2:
         raise ValueError("need at least two panel boundaries")
@@ -130,48 +135,43 @@ def _converged_panels(f_log, boundaries, rel_tol: float, max_panels: int) -> lis
             raise ValueError("panel boundaries must be increasing")
         if b > a:
             panels.append(_eval_panel(f_log, a, b))
-
-    heap = [(-p.log_err, i) for i, p in enumerate(panels)]
-    heapq.heapify(heap)
+    log_vals = np.array([p.log_val for p in panels])
+    log_errs = np.array([p.log_err for p in panels])
 
     splits = 0
     while True:
-        total_val = _log_total(p.log_val for p in panels)
-        total_err = _log_total(p.log_err for p in panels)
+        total_val = _log_sum(log_vals)
+        total_err = _log_sum(log_errs)
         if total_val == _NEG_INF or total_err <= total_val + math.log(rel_tol):
             return panels
         if splits >= max_panels:
             raise QuadratureError(
                 f"quadrature did not converge within {max_panels} panel splits",
-                total_val,
+                _log_total(p.log_val for p in panels),
                 math.exp(total_err - total_val),
             )
-        if not heap:
-            # every panel is at float resolution; error floor reached
-            return panels
-        _, idx = heapq.heappop(heap)
+        idx = int(log_errs.argmax())
         worst = panels[idx]
-        if worst.log_err == _NEG_INF:
-            # nothing left to refine; error floor reached
-            return panels
-        # errors already far below the convergence threshold cannot add up
-        # to it across the panel set; freeze such panels instead of splitting
-        cut = total_val + math.log(rel_tol) - math.log(len(panels)) - 5.0
-        if worst.log_err <= cut:
-            panels[idx] = _Panel(worst.lo, worst.hi, worst.log_val, _NEG_INF)
-            continue
         mid = 0.5 * (worst.lo + worst.hi)
         if mid <= worst.lo or mid >= worst.hi:
-            # panel at float resolution; accept its estimate as-is
-            panels[idx] = _Panel(worst.lo, worst.hi, worst.log_val, _NEG_INF)
+            log_errs[idx] = _NEG_INF  # at float resolution: accept as-is
             continue
         left = _eval_panel(f_log, worst.lo, mid)
         right = _eval_panel(f_log, mid, worst.hi)
-        panels[idx] = left
-        heapq.heappush(heap, (-left.log_err, idx))
+        panels[idx], log_vals[idx], log_errs[idx] = left, left.log_val, left.log_err
         panels.append(right)
-        heapq.heappush(heap, (-right.log_err, len(panels) - 1))
+        log_vals = np.append(log_vals, right.log_val)
+        log_errs = np.append(log_errs, right.log_err)
         splits += 1
+
+
+def _log_sum(logs: np.ndarray) -> float:
+    """ln of the sum of exp over ``logs``, by numpy reductions: the totals
+    the loop takes each pass.  Returned values are summed by ``_log_total``."""
+    peak = logs.max(initial=_NEG_INF)
+    if peak == _NEG_INF:
+        return _NEG_INF
+    return peak + math.log(np.exp(logs - peak).sum())
 
 
 def _log_total(logs) -> float:

@@ -11,6 +11,7 @@ from spherefacets import (
     PolytopeParams,
     Regime,
     RegimeSpec,
+    TypicalHeightLaw,
     classify,
     concentration_height,
     count_rate,
@@ -28,11 +29,19 @@ from spherefacets import (
     parse_family,
     rate_argmax,
     typical_height_asymptotic,
+    typical_height_quantile,
 )
 from spherefacets.exact import log_binomial
 from spherefacets.logreal import LogReal
 from spherefacets.numerics import log_norm_cdf
 from spherefacets.solvers import bisect_root
+
+# (n, d) on a growth family at dimension d
+FAMILY_AT = {
+    "n-d=d^0.75": lambda d: PolytopeParams(d + round(d**0.75), d),
+    "n=d^2": lambda d: PolytopeParams(d * d, d),
+    "ln(n)=d*ln(d)": lambda d: PolytopeParams.from_log(d * math.log(d), d),
+}
 
 
 class TestClassify:
@@ -293,6 +302,17 @@ class TestFacetCountAsymptotics:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(1.0, abs=1e-3)
 
+    def test_superexponential_against_exact(self):
+        """On ln n = d ln d the exact ln F sits above the formula by a
+        residual that falls like 0.6 / d^2."""
+        spec = classify(parse_family("ln(n)=d*ln(d)"))
+        residuals = []
+        for d in (20, 40, 80, 160, 320):
+            p = FAMILY_AT["ln(n)=d*ln(d)"](d)
+            residuals.append(expected_facets(p).ln() - facet_count_asymptotic(spec, p).log_count)
+            assert 0.55 < d * d * residuals[-1] < 0.75
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
     def test_regime_mismatch_errors(self):
         spec = classify(parse_family("n-d=sqrt(d)"))
         with pytest.raises(ValueError):
@@ -323,6 +343,21 @@ class TestTypicalHeightAsymptotics:
         est = typical_height_asymptotic(spec, PolytopeParams(10**5, 4))
         assert est.law == "gamma"
         assert est.law_params["shape"] == 3
+
+    @pytest.mark.parametrize(
+        "family, bound", [("n-d=d^0.75", 0.2), ("n=d^2", 0.3), ("ln(n)=d*ln(d)", 1e-3)]
+    )
+    def test_center_against_exact_median(self, family, bound):
+        """The center of the sublinear-mid, subexponential and
+        superexponential laws approaches the exact median as d grows."""
+        spec = classify(parse_family(family))
+        gaps = []
+        for d in (20, 80):
+            p = FAMILY_AT[family](d)
+            center = typical_height_asymptotic(spec, p).center
+            median = typical_height_quantile(TypicalHeightLaw.for_params(p), 0.5)
+            gaps.append(abs(1.0 - median / center))
+        assert gaps[1] < gaps[0] < bound
 
 
 class TestHausdorff:

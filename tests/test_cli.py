@@ -7,7 +7,13 @@ import math
 
 import pytest
 
-from spherefacets import PolytopeParams, expected_facets
+from spherefacets import (
+    PolytopeParams,
+    classify,
+    expected_facets,
+    facet_count_asymptotic,
+    parse_family,
+)
 from spherefacets.cli import main
 
 
@@ -124,6 +130,20 @@ class TestScan:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+    def test_asymptotic_column(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--d", "4", "--n-start", "10",
+                               "--n-stop", "40", "--n-step", "10", "--family", "n=d^2",
+                               "--format", "json")
+        assert code == 0
+        table = json.loads(out)["table"]
+        assert table["columns"] == ["n", "d", "ln_F_exact", "F_exact", "ln_F_asym"]
+        spec = classify(parse_family("n=d^2"))
+        assert [row[0] for row in table["rows"]] == [10, 20, 30, 40]
+        for row in table["rows"]:
+            want = facet_count_asymptotic(spec, PolytopeParams(row[0], 4)).log_count
+            assert row[4] == want  # byte-identical value
 
 
 class TestVerify:

@@ -262,6 +262,26 @@ class TestFacetCountOracles:
         assert f.to_float() == math.inf  # not linearly representable
         assert 2000.0 < f.ln() < 3000.0
 
+    def test_long_refinement_near_mode_at_huge_n(self, monkeypatch):
+        # the window [-1, cos gap] just below the mode takes some 1700 panel
+        # splits; its count is pinned, and it must add up with the upper tail
+        params, gap = PolytopeParams.from_log(2788.7241584763096, 45), 5.461682557431678e-28
+        panels = []
+        evaluate = quadrature._eval_panel
+
+        def counted(*args):
+            panels.append(evaluate(*args))
+            return panels[-1]
+
+        monkeypatch.setattr(quadrature, "_eval_panel", counted)
+        lower = expected_facets(
+            params, HeightInterval(-1.0, math.cos(gap), -math.pi / 2, math.pi / 2 - gap, math.pi, gap)
+        )
+        assert len(panels) > 3000, len(panels)
+        assert lower.ln() == pytest.approx(-22212316918.727898, rel=1e-9)
+        upper = expected_facets(params, HeightInterval.upper_tail(gap))
+        assert (lower + upper).rel_diff(expected_facets(params)) < 1e-9
+
     def test_budget_exhaustion_reports_achieved_error(self, monkeypatch):
         monkeypatch.setattr(quadrature, "REL_TOL", 1e-15)
         monkeypatch.setattr(quadrature, "MAX_SPLITS", 1)
