@@ -29,7 +29,6 @@ returned as LogReal.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -37,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .logreal import LogReal, log_add_exp
+from .logreal import LogReal
 from .numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
 from .quadrature import (
     QuadratureError,
     _converged_panels,
-    _log_total,
+    _log_sum,
     geometric_ladder,
     panel_log_values,
 )
@@ -282,6 +281,7 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
 def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
     """(ln of the integral, segment, converged panels) over the gaps
     [u_lo, u_hi] of ``_located_segment``; the engine of every height query.
+    The panels are the quadrature's rows (lo, hi, ln value, ln error).
 
     A segment whose bound cannot move ``reference_ln`` (such as a CDF's
     normalizer) gets no panels and an integral of zero.  Raises
@@ -293,7 +293,7 @@ def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
     # bound cannot move the reference total at the relative target
     cut_ln = reference_ln + math.log(quadrature.REL_TOL) - 40.0
     if seg.peak == _NEG_INF or seg.peak + math.log(seg.hi - seg.lo) < cut_ln:
-        return _NEG_INF, seg, []
+        return _NEG_INF, seg, np.empty((0, 4))
     try:
         panels = _converged_panels(
             seg.f_log,
@@ -311,7 +311,7 @@ def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
             err.log_value,
             err.rel_err,
         ) from None
-    return _log_total(p.log_val for p in panels), seg, panels
+    return _log_sum(panels[:, 2]), seg, panels
 
 
 def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
@@ -480,11 +480,11 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     share_ln = total_ln - math.log(num)
     # rows run from the largest gap down, starting with a massless row at pi
     ends, cells = [seg.hi], [_NEG_INF]
-    for pan in sorted(panels, key=lambda pan: pan.lo, reverse=True):
-        edges = np.linspace(pan.lo, pan.hi, 2 + int(math.exp(pan.log_val - share_ln)))
+    for lo, hi, log_val in panels[np.argsort(-panels[:, 0]), :3].tolist():
+        edges = np.linspace(lo, hi, 2 + int(math.exp(log_val - share_ln)))
         ends.extend(edges[-2::-1])
         cells.extend(reversed(panel_log_values(seg.f_log, edges)))
     # the last row closes the table at theta = pi/2
     gaps = np.append(np.exp(ends), 0.0)
-    prefix = np.fromiter(itertools.accumulate([*cells, _NEG_INF], log_add_exp), float)
+    prefix = np.logaddexp.accumulate([*cells, _NEG_INF])
     return HALF_PI - gaps, np.cos(gaps), np.exp(prefix - prefix[-1])

@@ -346,9 +346,7 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
         batch = work[done : done + stack]
         done += len(batch)
         points = np.stack([
-            sample_sphere(n, d, np.random.default_rng(
-                np.random.SeedSequence(spec.seed, spawn_key=(rep, attempt))
-            ))
+            sample_sphere(n, d, np.random.SeedSequence(spec.seed, spawn_key=(rep, attempt)))
             for rep, attempt in batch
         ])
         for (rep, attempt), summary in zip(batch, _census(points, subsets, spec.keep_records)):

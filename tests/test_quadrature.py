@@ -1,10 +1,12 @@
 """The log-domain adaptive quadrature against closed-form integrals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spherefacets import quadrature
 from spherefacets.logreal import LogReal
 from spherefacets.quadrature import (
     QuadratureError,
@@ -64,6 +66,39 @@ class TestEdgeCases:
     def test_decreasing_boundaries_rejected(self):
         with pytest.raises(ValueError):
             log_integrate(lambda x: 0.0, [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "edges", [[0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0]], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_boundaries_rejected(self, edges):
+        with pytest.raises(ValueError):
+            log_integrate(lambda x: -x, edges)
+        with pytest.raises(ValueError):
+            panel_log_values(lambda x: -x, edges)
+
+
+class TestPanelRule:
+    """One 15-point panel: the Kronrod rule integrates polynomials up to
+    degree 22 exactly, and the embedded Gauss rule those up to degree 13."""
+
+    LO, HI = 0.5, 2.0
+
+    def _panel(self, coeffs):
+        """(ln value, ln error, exact ln integral) for exp(f) = sum c_k x^k."""
+        f = lambda x: math.log(sum(c * x**k for k, c in enumerate(coeffs)))
+        lo, hi = Fraction(self.LO), Fraction(self.HI)
+        exact = sum(Fraction(c) * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+        return (*quadrature._eval_panel(f, self.LO, self.HI), math.log(exact))
+
+    def test_kronrod_exact_to_degree_22(self):
+        ln_val, _, ln_exact = self._panel([1.0 + 0.1 * k for k in range(23)])
+        assert abs(math.expm1(ln_val - ln_exact)) < 1e-14
+
+    @pytest.mark.parametrize("degree", range(14))
+    def test_error_estimate_vanishes_to_degree_13(self, degree):
+        ln_val, ln_err, ln_exact = self._panel([1.0] * (degree + 1))
+        assert abs(math.expm1(ln_val - ln_exact)) < 1e-14
+        assert ln_err <= ln_val - 30.0
 
 
 class TestHelpers:
