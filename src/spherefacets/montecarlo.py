@@ -6,7 +6,10 @@ all remaining points strictly on one side is a facet.  That is the
 defining criterion itself rather than a fast hull algorithm, which keeps
 this module independent from the quadrature path it cross-checks; the
 ``subset_cap`` guard and a memory budget keep the O(C(n, d)) enumeration
-at desk scale.
+at desk scale.  The hyperplanes of a whole stack of replicates come from
+one vectorised Gaussian elimination, whose pivots also give each system's
+determinant for the condition guard, and a stack's results stay arrays
+until ``facet_census`` builds its one summary.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
 attempt), so reports are reproducible and independent of scheduling.
@@ -41,11 +44,13 @@ __all__ = [
 HALFSPACE_TOL = 1e-9
 # a system is usable when cond_2 < CONDITION_LIMIT.  Since
 # cond_2(A) <= ||A||_F^d / |det A|, a bound below CONDITION_LIMIT / 2 (the
-# factor 2 absorbs rounding in slogdet's LU) certifies a system without an
-# SVD; only systems the bound cannot certify go to the SVD.
+# factor 2 absorbs rounding in the pivots of the census's elimination)
+# certifies a system without an SVD; only systems the bound cannot certify
+# go to the SVD.
 CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
-# the largest stacked tensor of one census stack holds at most this many floats
+# a census stack's (R, C, n) and (R, C, d, d) tensors hold at most this many
+# floats each; the elimination's augmented copy is (d + 1) / d times the latter
 _STACK_FLOATS = 2**16
 # the largest per-replicate tensor, C(n, d) * max(n, d^2) floats, may hold at
 # most this many (1 GiB); a census peaks at 3-4.5x that in resident memory
@@ -153,15 +158,54 @@ def _subset_array(n: int, d: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=math.comb(n, d) * d).reshape(-1, d)
 
 
-def _well_conditioned(mats: np.ndarray) -> np.ndarray:
+def _solve_ones(mats: np.ndarray) -> tuple:
+    """Solutions x of A x = 1 and ln |det A| for a stack of d x d systems.
+
+    ``mats`` has shape (..., d, d); x has shape (..., d) and ln |det A|
+    shape (...).  One Gaussian elimination with partial pivoting runs over
+    the whole stack at once, on augmented systems [A | 1] laid out
+    (d, d + 1, N) with the stack on the last axis, and ln |det A| is the
+    sum of ln |pivot| over the same pivots.  Every step is elementwise
+    along the stack, so a system's result does not depend on the others.
+    A zero pivot gives ln |det A| = -inf or NaN and a non-finite x.
+    """
+    *lead, d, _ = mats.shape
+    count = math.prod(lead)
+    aug = np.empty((d, d + 1, count))
+    aug[:, :d] = mats.reshape(count, d, d).transpose(1, 2, 0)
+    aug[:, d] = 1.0
+    logdet = np.zeros(count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(d):
+            # swap each system's largest remaining |a_ik| into row k
+            pivot_row = k + np.argmax(np.abs(aug[k:, k]), axis=0)
+            top = aug[k, k:]
+            for i in range(k + 1, d):
+                swap = pivot_row == i
+                row = aug[i, k:]
+                aug[i, k:], top = np.where(swap, top, row), np.where(swap, row, top)
+            aug[k, k:] = top
+            pivot = aug[k, k]
+            logdet += np.log(np.abs(pivot))
+            factors = aug[k + 1 :, k] / pivot
+            aug[k + 1 :, k + 1 :] -= factors[:, None] * aug[k, k + 1 :]
+        x = aug[:, d]
+        for k in reversed(range(d)):
+            for j in range(k + 1, d):
+                x[k] -= aug[k, j] * x[j]
+            x[k] /= aug[k, k]
+    return np.ascontiguousarray(x.T).reshape(*lead, d), logdet.reshape(lead)
+
+
+def _well_conditioned(mats: np.ndarray, logdet: np.ndarray) -> np.ndarray:
     """Mask of the d x d systems in ``mats`` with cond_2 < CONDITION_LIMIT.
 
-    The determinant bound decides almost every system; the SVD rule
-    decides the rest, so the mask is the SVD rule's on every system.
+    ``logdet`` holds ln |det A| of each system, from ``_solve_ones``.  The
+    determinant bound decides almost every system; the SVD rule decides
+    the rest, so the mask is the SVD rule's on every system.
     """
     d = mats.shape[-1]
-    # a singular system has logdet = -inf, so its bound is +inf or NaN
-    _, logdet = np.linalg.slogdet(mats)
+    # a singular system has logdet = -inf or NaN, so its bound is +inf or NaN
     fro2 = np.einsum("...ij,...ij->...", mats, mats)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_bound = 0.5 * d * np.log(fro2) - logdet
@@ -176,58 +220,61 @@ def _well_conditioned(mats: np.ndarray) -> np.ndarray:
     return usable
 
 
-def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> list:
+def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tuple:
     """Census a stack of replicates, points of shape (R, n, d).
 
-    Returns one CensusSummary per replicate, or None for a replicate in
+    Returns (tied, counts, min_heights, skipped, heights, records).  The
+    first four are arrays over the stack: ``tied`` marks a replicate in
     which a non-vertex point ties a candidate hyperplane within
-    ``HALFSPACE_TOL``.  The linear algebra runs once over the whole
+    ``HALFSPACE_TOL``, ``min_heights`` is NaN where there is no facet, and
+    ``skipped`` counts the systems left out.  ``heights`` holds the signed
+    facet heights of the untied replicates in stack order, each
+    replicate's below-plane facets first; a tied replicate counts no
+    facets.  ``records`` is one FacetRecord list per replicate, or None
+    unless ``keep_records``.  The linear algebra runs once over the whole
     stack; every check is applied per replicate.
     """
     _, n, d = points.shape
     mats = points[:, subsets]  # (R, C, d, d)
-    usable = _well_conditioned(mats)
-    # unusable systems get the identity, so one solve covers the stack
-    mats[~usable] = np.eye(d)
-    sol = np.linalg.solve(mats, np.ones(mats.shape[:-1] + (1,)))[..., 0]
-    norms = np.linalg.norm(sol, axis=-1)
-    normals = sol / norms[..., None]
-    heights = 1.0 / norms
-
-    side = normals @ points.transpose(0, 2, 1) - heights[..., None]  # (R, C, n)
+    sol, logdet = _solve_ones(mats)
+    usable = _well_conditioned(mats, logdet)
+    # an unusable system may be singular, with a non-finite solution
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norms = np.linalg.norm(sol, axis=-1)
+        normals = sol / norms[..., None]
+        heights = 1.0 / norms
+        side = normals @ points.transpose(0, 2, 1) - heights[..., None]  # (R, C, n)
     is_vertex = np.zeros((len(subsets), n), dtype=bool)
     np.put_along_axis(is_vertex, subsets, True, axis=1)
     dist = np.abs(side)
-    residual = dist.max(axis=-1, where=is_vertex, initial=0.0)
+    residual = np.where(is_vertex, dist, 0.0).max(axis=-1)
     solved = usable & (residual <= VERTEX_RESIDUAL_TOL)
     tied = np.any(solved & np.any((dist < HALFSPACE_TOL) & ~is_vertex, axis=-1), axis=-1)
     below = solved & np.all((side <= -HALFSPACE_TOL) | is_vertex, axis=-1)
     above = solved & np.all((side >= HALFSPACE_TOL) | is_vertex, axis=-1)
 
-    def summary(r: int) -> CensusSummary:
-        facet_heights = np.concatenate([heights[r, below[r]], -heights[r, above[r]]])
-        records = [
-            FacetRecord(tuple(subsets[i]), sign * normals[r, i], float(sign * heights[r, i]))
-            for mask, sign in ((below, 1.0), (above, -1.0)) if keep_records
-            for i in np.flatnonzero(mask[r])
-        ]
-        count = len(facet_heights)
-        skipped = int(np.count_nonzero(~solved[r]))
-        if skipped == 0 and count < d + 1:
-            raise RuntimeError(
-                f"census found {count} facets with no skips; every polytope has >= d+1"
-            )
-        min_height = float(facet_heights.min()) if count else math.nan
-        return CensusSummary(
-            facet_count=count,
-            heights=facet_heights,
-            min_height=min_height,
-            origin_inside=bool(count and min_height > 0.0),
-            skipped_subsets=skipped,
-            records=records,
+    facets = np.stack([below, above], axis=1) & ~tied[:, None, None]  # (R, 2, C)
+    signed = np.stack([heights, -heights], axis=1)
+    counts = np.count_nonzero(facets, axis=(1, 2))
+    min_heights = np.where(facets, signed, np.inf).min(axis=(1, 2))
+    min_heights[counts == 0] = np.nan
+    skipped = np.count_nonzero(~solved, axis=-1)
+    short = ~tied & (skipped == 0) & (counts < d + 1)
+    if short.any():
+        raise RuntimeError(
+            f"census found {counts[short][0]} facets with no skips; every polytope has >= d+1"
         )
-
-    return [None if tied[r] else summary(r) for r in range(len(points))]
+    records = None
+    if keep_records:
+        records = [
+            [
+                FacetRecord(tuple(subsets[i]), sign * normals[r, i], float(sign * heights[r, i]))
+                for sign, mask in zip((1.0, -1.0), facets[r])
+                for i in np.flatnonzero(mask)
+            ]
+            for r in range(len(points))
+        ]
+    return tied, counts, min_heights, skipped, signed[facets], records
 
 
 def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummary:
@@ -240,11 +287,13 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     above ``CONDITION_LIMIT``, or whose solution misses a vertex by more
     than ``VERTEX_RESIDUAL_TOL``, are skipped and tallied; any remaining
     point within ``HALFSPACE_TOL`` of the plane raises
-    DegenerateSampleError.  The condition test uses the bound
-    cond_2(A) <= ||A||_F^d / |det A| from ``slogdet``: a bound below
-    CONDITION_LIMIT / 2 (the factor 2 covers rounding in the LU) accepts a
-    system, and an SVD decides only the systems the bound cannot accept,
-    so the skipped systems are exactly those of the SVD rule.  This is the
+    DegenerateSampleError.  One Gaussian elimination with partial
+    pivoting gives each system's solution and ln |det A| from the same
+    pivots.  The condition test uses the bound
+    cond_2(A) <= ||A||_F^d / |det A|: a bound below CONDITION_LIMIT / 2
+    (the factor 2 covers rounding in the elimination) accepts a system,
+    and an SVD decides only the systems the bound cannot accept, so the
+    skipped systems are exactly those of the SVD rule.  This is the
     census ``estimate`` runs, on a stack of one replicate.
 
     ``points`` must be a finite (n, d) array with n > d >= 2, and the
@@ -261,12 +310,21 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
         )
     n, d = points.shape
     _check_memory_budget(n, d)
-    (summary,) = _census(points[None], _subset_array(n, d), keep_records)
-    if summary is None:
+    tied, counts, min_heights, skipped, heights, records = _census(
+        points[None], _subset_array(n, d), keep_records
+    )
+    if tied[0]:
         raise DegenerateSampleError(
             "a non-vertex point ties a candidate hyperplane within tolerance"
         )
-    return summary
+    return CensusSummary(
+        facet_count=int(counts[0]),
+        heights=heights,
+        min_height=float(min_heights[0]),
+        origin_inside=bool(min_heights[0] > 0.0),
+        skipped_subsets=int(skipped[0]),
+        records=records[0] if keep_records else [],
+    )
 
 
 @dataclass
@@ -339,9 +397,12 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
     subsets = _subset_array(n, d)
     # the largest stacked tensors are (R, C, n) and (R, C, d, d)
     stack = max(1, _STACK_FLOATS // (len(subsets) * max(n, d * d)))
-    summaries: list = [None] * spec.replicates
+    counts = np.zeros(spec.replicates, dtype=np.intp)
+    min_heights = np.full(spec.replicates, np.nan)
+    records = [None] * spec.replicates if spec.keep_records else None
+    owners, heights = [], []
     work = [(rep, 0) for rep in range(spec.replicates)]
-    degenerate = done = 0
+    degenerate = done = skipped = 0
     while done < len(work):
         batch = work[done : done + stack]
         done += len(batch)
@@ -349,23 +410,37 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
             sample_sphere(n, d, np.random.SeedSequence(spec.seed, spawn_key=(rep, attempt)))
             for rep, attempt in batch
         ])
-        for (rep, attempt), summary in zip(batch, _census(points, subsets, spec.keep_records)):
-            if summary is not None:
-                summaries[rep] = summary
-                continue
+        tied, stack_counts, stack_min, stack_skipped, stack_heights, stack_records = _census(
+            points, subsets, spec.keep_records
+        )
+        reps = np.array([rep for rep, _ in batch])
+        kept = ~tied
+        counts[reps[kept]] = stack_counts[kept]
+        min_heights[reps[kept]] = stack_min[kept]
+        skipped += int(stack_skipped[kept].sum())
+        # a tied replicate counts no facets, so it owns no heights
+        owners.append(np.repeat(reps, stack_counts))
+        heights.append(stack_heights)
+        if records is not None:
+            for i in np.flatnonzero(kept):
+                records[reps[i]] = stack_records[i]
+        for i in np.flatnonzero(tied):
+            rep, attempt = batch[i]
             degenerate += 1
             if attempt + 1 == 1000:
                 raise RuntimeError(f"replicate {rep} degenerate after 1000 redraws")
             work.append((rep, attempt + 1))
+    # each replicate's heights come from its one untied census, in order
+    by_replicate = np.argsort(np.concatenate(owners), kind="stable")
     return EnsembleReport(
         spec=spec,
-        counts=np.array([s.facet_count for s in summaries], dtype=np.intp),
-        pooled_heights=np.concatenate([s.heights for s in summaries]),
-        min_heights=np.array([s.min_height for s in summaries]),
-        origin_inside=np.array([s.origin_inside for s in summaries], dtype=bool),
-        skipped_subsets=sum(s.skipped_subsets for s in summaries),
+        counts=counts,
+        pooled_heights=np.concatenate(heights)[by_replicate],
+        min_heights=min_heights,
+        origin_inside=min_heights > 0.0,
+        skipped_subsets=skipped,
         degenerate_resamples=degenerate,
-        records_by_replicate=[s.records for s in summaries] if spec.keep_records else None,
+        records_by_replicate=records,
     )
 
 
@@ -391,9 +466,14 @@ def ks_distance(samples: np.ndarray, grid_x: np.ndarray, grid_cdf: np.ndarray) -
 
     The reference CDF is linearly interpolated from (grid_x, grid_cdf);
     the table must be dense enough that interpolation error is below the
-    distance being resolved.
+    distance being resolved.  Empty samples, and a ``grid_x`` that
+    decreases anywhere, raise ValueError.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
+    if xs.size == 0:
+        raise ValueError("ks_distance needs at least one sample")
+    if np.any(np.diff(grid_x) < 0.0):
+        raise ValueError("grid_x must be nondecreasing")
     ref = np.interp(xs, grid_x, grid_cdf)
     k = len(xs)
     steps_hi = np.arange(1, k + 1) / k

@@ -163,7 +163,8 @@ class TestConditionGuard:
         for scale in (1.0, 1e-3, 1e3, 1e-170):
             scaled = mats * scale
             want = _svd_rule(scaled)
-            assert np.array_equal(montecarlo._well_conditioned(scaled), want)
+            _, logdet = montecarlo._solve_ones(scaled)
+            assert np.array_equal(montecarlo._well_conditioned(scaled, logdet), want)
             # 20 systems per ratio: the first ratio is usable, the last is not
             assert want[:20].all() and not want[-21:].any()
 
@@ -171,6 +172,111 @@ class TestConditionGuard:
         for n, d in ((4, 2), (7, 3), (6, 6)):
             want = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp)
             assert np.array_equal(montecarlo._subset_array(n, d), want)
+
+
+def _systems(rng, d, cond, count):
+    """Random d x d systems Q1 diag(sigma) Q2 with cond_2 = cond, half with a
+    geometric spectrum and half with one small singular value."""
+    mats = []
+    for sigma in (np.geomspace(1.0, 1.0 / cond, d), np.r_[np.ones(d - 1), 1.0 / cond]):
+        for _ in range(count // 2):
+            q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            mats.append(q1 * sigma @ q2)
+    return np.array(mats)
+
+
+class TestElimination:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_lapack(self, d):
+        """Solution and ln |det| against LAPACK's solve and slogdet.  Two
+        backward-stable solvers may differ by about cond * eps (measured
+        1.6e-10 at cond 1e6, d = 6), so the bound is 1e-12 relative up to
+        cond 1e3 and grows with cond beyond; the normwise backward error
+        must be at rounding level at every cond."""
+        rng = np.random.default_rng(100 + d)
+        for cond in (1.0, 1e3, 1e6):
+            mats = _systems(rng, d, cond, 100)
+            x, logdet = montecarlo._solve_ones(mats)
+            want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
+            _, want_logdet = np.linalg.slogdet(mats)
+            rel = 1e-12 * max(1.0, cond / 1e3)
+            forward = np.linalg.norm(x - want, axis=-1) / np.linalg.norm(want, axis=-1)
+            assert forward.max() < rel
+            assert np.max(np.abs(logdet - want_logdet) / np.maximum(1.0, np.abs(want_logdet))) < rel
+            residual = np.einsum("nij,nj->ni", mats, x) - 1.0
+            backward = np.linalg.norm(residual, axis=-1) / (
+                np.linalg.norm(mats, axis=(1, 2)) * np.linalg.norm(x, axis=-1)
+            )
+            assert backward.max() < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_singular_not_certified(self, d):
+        rng = np.random.default_rng(d)
+        twin_rows = rng.standard_normal((d, d))
+        twin_rows[-1] = twin_rows[0]
+        zero_column = rng.standard_normal((d, d))
+        zero_column[:, 1] = 0.0
+        mats = np.array([twin_rows, zero_column, np.zeros((d, d))])
+        _, logdet = montecarlo._solve_ones(mats)
+        assert not montecarlo._well_conditioned(mats, logdet).any()
+
+    def test_tiny_scale(self):
+        """At 1e-170 the solutions are about 1e170 and ln |det| about
+        -391 d: both stay finite and match LAPACK."""
+        rng = np.random.default_rng(7)
+        for d in (2, 4, 6):
+            mats = _systems(rng, d, 10.0, 20) * 1e-170
+            x, logdet = montecarlo._solve_ones(mats)
+            want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
+            _, want_logdet = np.linalg.slogdet(mats)
+            assert np.isfinite(x).all()
+            np.testing.assert_allclose(x, want, rtol=1e-12)
+            np.testing.assert_allclose(logdet, want_logdet, rtol=1e-12)
+
+    def test_system_independent_of_its_stack(self):
+        """A system solved alone and inside a stack of 100 others gives
+        bit-identical results, so a replicate's census does not depend on
+        the stack it runs in."""
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 5):
+            stack = rng.standard_normal((101, d, d))
+            x_all, logdet_all = montecarlo._solve_ones(stack)
+            for i in (0, 57, 100):
+                x, logdet = montecarlo._solve_ones(stack[i : i + 1])
+                assert np.array_equal(x[0], x_all[i])
+                assert np.array_equal(logdet[0], logdet_all[i])
+
+
+# reports of the benchmark's four shapes, each at the seed of its first
+# call, as computed with LAPACK's solve and slogdet: (n, d, replicates,
+# seed) -> facet counts (one value where every replicate has it),
+# origin-inside flags as packed bits, pooled height count, sum, sum of
+# squares, sum weighted by position mod 7 plus 1, and first height
+PINNED_REPORTS = {
+    (4, 2, 300, 0): (
+        [4],
+        "f4eb6d03d68ede80cc83c8066a3037ce4085a4999e7abfe879d21ecabc11efce7f6afac95210",
+        (1200, 729.5509735840686, 687.8069429499523, 2911.751575637706, 0.883047572075349),
+    ),
+    (15, 3, 45, 1): (
+        [26],
+        "fffffffffff8",
+        (1170, 879.1765692117375, 693.2598068372405, 3514.2428638999177, 0.9939741835763694),
+    ),
+    (12, 4, 45, 2): (
+        [35, 34, 35, 37, 38, 37, 35, 36, 36, 38, 37, 38, 38, 36, 37, 36, 40, 35, 36, 35, 40,
+         37, 36, 37, 38, 35, 37, 37, 35, 36, 33, 35, 37, 37, 35, 34, 35, 36, 36, 38, 35, 35,
+         35, 37, 36],
+        "b9dfffdcdff8",
+        (1631, 794.2135785333617, 452.8712092963507, 3170.428572681235, 0.719751056662157),
+    ),
+    (14, 5, 10, 3): (
+        [80, 82, 82, 88, 80, 90, 90, 86, 82, 90],
+        "7fc0",
+        (850, 331.83604560074946, 147.44048479444504, 1329.557519104216, 0.5157850196899996),
+    ),
+}
 
 
 class TestEnsemble:
@@ -241,6 +347,26 @@ class TestEnsemble:
             report.pooled_heights, np.concatenate([s.heights for s in singles])
         )
 
+    @pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda k: f"{k[0]}_{k[1]}")
+    def test_pinned_reports(self, key):
+        """Counts, origin flags, skips and redraws equal the pinned reports
+        exactly; pooled heights within 1e-12 (checked through their sums)."""
+        n, d, reps, seed = key
+        counts, inside_bits, (size, total, squares, weighted, first) = PINNED_REPORTS[key]
+        report = estimate(EnsembleSpec(PolytopeParams(n, d), replicates=reps, seed=seed))
+        assert report.counts.tolist() == (counts if len(counts) == reps else counts * reps)
+        assert np.packbits(report.origin_inside).tobytes().hex() == inside_bits
+        assert report.skipped_subsets == 0 and report.degenerate_resamples == 0
+        heights = report.pooled_heights
+        assert len(heights) == size
+        weights = np.arange(size) % 7 + 1.0
+        for got, want in zip(
+            (math.fsum(heights), math.fsum(heights * heights), math.fsum(heights * weights)),
+            (total, squares, weighted),
+        ):
+            assert abs(got - want) <= 1e-12 * size
+        assert abs(heights[0] - first) <= 1e-12
+
     def test_degenerate_replicate_redrawn_alone(self, monkeypatch):
         spec = EnsembleSpec(PolytopeParams(4, 2), replicates=6, seed=11)
         clean = estimate(spec)
@@ -287,6 +413,20 @@ class TestKsHelper:
         samples = rng.uniform(0.5, 1.0, 4000)
         grid = np.linspace(0.0, 1.0, 2001)
         assert ks_distance(samples, grid, grid) > 0.4
+
+
+    def test_rejects_empty_samples(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="at least one sample"):
+            ks_distance(np.array([]), grid, grid)
+
+    def test_rejects_decreasing_grid(self):
+        """On the grid [1, 0], np.interp reads 0 at 0.5, where the CDF is 0.5."""
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ks_distance(np.array([0.5]), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        grid = np.array([0.0, 1.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ks_distance(np.array([0.5]), grid, np.array([0.0, 1.0, 0.5, 1.0]))
 
 
 class TestRecordDump:
