@@ -174,9 +174,8 @@ def _solve_ones(mats: np.ndarray) -> tuple:
     aug = np.empty((d, d + 1, count))
     aug[:, :d] = mats.reshape(count, d, d).transpose(1, 2, 0)
     aug[:, d] = 1.0
-    logdet = np.zeros(count)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(d):
+        for k in range(d - 1):
             # swap each system's largest remaining |a_ik| into row k
             pivot_row = k + np.argmax(np.abs(aug[k:, k]), axis=0)
             top = aug[k, k:]
@@ -185,15 +184,15 @@ def _solve_ones(mats: np.ndarray) -> tuple:
                 row = aug[i, k:]
                 aug[i, k:], top = np.where(swap, top, row), np.where(swap, row, top)
             aug[k, k:] = top
-            pivot = aug[k, k]
-            logdet += np.log(np.abs(pivot))
-            factors = aug[k + 1 :, k] / pivot
+            factors = aug[k + 1 :, k] / aug[k, k]
             aug[k + 1 :, k + 1 :] -= factors[:, None] * aug[k, k + 1 :]
+        pivots = aug[np.arange(d), np.arange(d)]  # (d, N)
+        logdet = np.log(np.abs(pivots)).sum(axis=0)
         x = aug[:, d]
         for k in reversed(range(d)):
             for j in range(k + 1, d):
                 x[k] -= aug[k, j] * x[j]
-            x[k] /= aug[k, k]
+            x[k] /= pivots[k]
     return np.ascontiguousarray(x.T).reshape(*lead, d), logdet.reshape(lead)
 
 
