@@ -248,16 +248,16 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
     dist = np.abs(side)
     residual = np.where(is_vertex, dist, 0.0).max(axis=-1)
     solved = usable & (residual <= VERTEX_RESIDUAL_TOL)
-    tied = np.any(solved & np.any((dist < HALFSPACE_TOL) & ~is_vertex, axis=-1), axis=-1)
-    below = solved & np.all((side <= -HALFSPACE_TOL) | is_vertex, axis=-1)
-    above = solved & np.all((side >= HALFSPACE_TOL) | is_vertex, axis=-1)
+    tied = (solved & ((dist < HALFSPACE_TOL) & ~is_vertex).any(axis=-1)).any(axis=-1)
+    below = solved & ((side <= -HALFSPACE_TOL) | is_vertex).all(axis=-1)
+    above = solved & ((side >= HALFSPACE_TOL) | is_vertex).all(axis=-1)
 
-    facets = np.stack([below, above], axis=1) & ~tied[:, None, None]  # (R, 2, C)
-    signed = np.stack([heights, -heights], axis=1)
-    counts = np.count_nonzero(facets, axis=(1, 2))
-    min_heights = np.where(facets, signed, np.inf).min(axis=(1, 2))
+    facets = np.concatenate([below, above], axis=1) & ~tied[:, None]  # (R, 2C)
+    signed = np.concatenate([heights, -heights], axis=1)
+    counts = facets.sum(axis=1)
+    min_heights = np.where(facets, signed, np.inf).min(axis=1)
     min_heights[counts == 0] = np.nan
-    skipped = np.count_nonzero(~solved, axis=-1)
+    skipped = (~solved).sum(axis=1)
     short = ~tied & (skipped == 0) & (counts < d + 1)
     if short.any():
         raise RuntimeError(
@@ -268,7 +268,7 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
         records = [
             [
                 FacetRecord(tuple(subsets[i]), sign * normals[r, i], float(sign * heights[r, i]))
-                for sign, mask in zip((1.0, -1.0), facets[r])
+                for sign, mask in zip((1.0, -1.0), facets[r].reshape(2, -1))
                 for i in np.flatnonzero(mask)
             ]
             for r in range(len(points))
