@@ -6,10 +6,13 @@ all remaining points strictly on one side is a facet.  That is the
 defining criterion itself rather than a fast hull algorithm, which keeps
 this module independent from the quadrature path it cross-checks; the
 ``subset_cap`` guard and a memory budget keep the O(C(n, d)) enumeration
-at desk scale.  The hyperplanes of a whole stack of replicates come from
-one vectorised Gaussian elimination, whose pivots also give each system's
-determinant for the condition guard, and a stack's results stay arrays
-until ``facet_census`` builds its one summary.
+at desk scale.  A whole stack of replicates is censused at once, with
+the stack on the last axis of every tensor: the subsets' systems are
+gathered straight into the augmented layout of one vectorised Gaussian
+elimination, whose pivots also give each system's determinant for the
+condition guard, and each subset's side test is a count of the points
+below its hyperplane.  A stack's results stay arrays until
+``facet_census`` builds its one summary.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
 attempt), so reports are reproducible and independent of scheduling.
@@ -49,8 +52,9 @@ HALFSPACE_TOL = 1e-9
 # go to the SVD.
 CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
-# a census stack's (R, C, n) and (R, C, d, d) tensors hold at most this many
-# floats each; the elimination's augmented copy is (d + 1) / d times the latter
+# a census stack's (R, n, C) side tensor and its R * C systems of d * d floats
+# hold at most this many floats each; the elimination's augmented systems,
+# (d, d + 1, R, C), are (d + 1) / d times the latter
 _STACK_FLOATS = 2**16
 # the largest per-replicate tensor, C(n, d) * max(n, d^2) floats, may hold at
 # most this many (1 GiB); a census peaks at 3-4.5x that in resident memory
@@ -158,22 +162,19 @@ def _subset_array(n: int, d: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=math.comb(n, d) * d).reshape(-1, d)
 
 
-def _solve_ones(mats: np.ndarray) -> tuple:
+def _solve_ones(aug: np.ndarray) -> tuple:
     """Solutions x of A x = 1 and ln |det A| for a stack of d x d systems.
 
-    ``mats`` has shape (..., d, d); x has shape (..., d) and ln |det A|
-    shape (...).  One Gaussian elimination with partial pivoting runs over
-    the whole stack at once, on augmented systems [A | 1] laid out
-    (d, d + 1, N) with the stack on the last axis, and ln |det A| is the
-    sum of ln |pivot| over the same pivots.  Every step is elementwise
-    along the stack, so a system's result does not depend on the others.
-    A zero pivot gives ln |det A| = -inf or NaN and a non-finite x.
+    ``aug`` holds the augmented systems [A | 1] with the stack on the
+    trailing axes: shape (d, d + 1, ...), ``aug[i, j]`` being entry (i, j)
+    of every system and ``aug[:, d]`` the ones.  One Gaussian elimination
+    with partial pivoting runs over the whole stack at once, in place, and
+    ln |det A| is the sum of ln |pivot| over the same pivots.  x has shape
+    (d, ...) and ln |det A| shape (...).  Every step is elementwise along
+    the stack, so a system's result does not depend on the others.  A zero
+    pivot gives ln |det A| = -inf or NaN and a non-finite x.
     """
-    *lead, d, _ = mats.shape
-    count = math.prod(lead)
-    aug = np.empty((d, d + 1, count))
-    aug[:, :d] = mats.reshape(count, d, d).transpose(1, 2, 0)
-    aug[:, d] = 1.0
+    d = len(aug)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(d - 1):
             # swap each system's largest remaining |a_ik| into row k
@@ -186,36 +187,39 @@ def _solve_ones(mats: np.ndarray) -> tuple:
             aug[k, k:] = top
             factors = aug[k + 1 :, k] / aug[k, k]
             aug[k + 1 :, k + 1 :] -= factors[:, None] * aug[k, k + 1 :]
-        pivots = aug[np.arange(d), np.arange(d)]  # (d, N)
+        pivots = aug[np.arange(d), np.arange(d)]  # (d, ...)
         logdet = np.log(np.abs(pivots)).sum(axis=0)
         x = aug[:, d]
         for k in reversed(range(d)):
             for j in range(k + 1, d):
                 x[k] -= aug[k, j] * x[j]
             x[k] /= pivots[k]
-    return np.ascontiguousarray(x.T).reshape(*lead, d), logdet.reshape(lead)
+    return x, logdet
 
 
-def _well_conditioned(mats: np.ndarray, logdet: np.ndarray) -> np.ndarray:
-    """Mask of the d x d systems in ``mats`` with cond_2 < CONDITION_LIMIT.
+def _well_conditioned(
+    points: np.ndarray, subsets: np.ndarray, fro2: np.ndarray, logdet: np.ndarray
+) -> np.ndarray:
+    """Mask of the census systems with cond_2 < CONDITION_LIMIT, shape (R, C).
 
-    ``logdet`` holds ln |det A| of each system, from ``_solve_ones``.  The
-    determinant bound decides almost every system; the SVD rule decides
-    the rest, so the mask is the SVD rule's on every system.
+    System (r, c) has the rows ``points[r, subsets[c]]``; ``fro2`` holds
+    its squared Frobenius norm and ``logdet`` its ln |det A|, from
+    ``_solve_ones``.  The determinant bound decides almost every system;
+    the SVD rule decides the rest, rebuilt from ``points``, so the mask is
+    the SVD rule's on every system.
     """
-    d = mats.shape[-1]
+    d = points.shape[-1]
     # a singular system has logdet = -inf or NaN, so its bound is +inf or NaN
-    fro2 = np.einsum("...ij,...ij->...", mats, mats)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_bound = 0.5 * d * np.log(fro2) - logdet
     # a squared norm that underflows to a subnormal or 0 understates the bound
     usable = (fro2 >= np.finfo(float).tiny) & (log_bound < math.log(CONDITION_LIMIT / 2))
-    rest = ~usable
-    if rest.any():
-        singulars = np.linalg.svd(mats[rest], compute_uv=False)
+    reps, cols = np.nonzero(~usable)
+    if len(reps):
+        singulars = np.linalg.svd(points[reps[:, None], subsets[cols]], compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = singulars[..., 0] / singulars[..., -1]
-        usable[rest] = np.isfinite(cond) & (cond < CONDITION_LIMIT)
+        usable[reps, cols] = np.isfinite(cond) & (cond < CONDITION_LIMIT)
     return usable
 
 
@@ -231,26 +235,40 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
     replicate's below-plane facets first; a tied replicate counts no
     facets.  ``records`` is one FacetRecord list per replicate, or None
     unless ``keep_records``.  The linear algebra runs once over the whole
-    stack; every check is applied per replicate.
+    stack, which stays on the last axis throughout; every check is
+    applied per replicate.
     """
-    _, n, d = points.shape
-    mats = points[:, subsets]  # (R, C, d, d)
-    sol, logdet = _solve_ones(mats)
-    usable = _well_conditioned(mats, logdet)
+    stack, n, d = points.shape
+    count = len(subsets)
+    # aug[i, j, r, c] = points[r, subsets[c, i], j], with the ones in column d
+    aug = np.empty((d, d + 1, stack, count))
+    aug[:, :d] = np.take(points.transpose(2, 0, 1), subsets.T, axis=2).transpose(2, 0, 1, 3)
+    aug[:, d] = 1.0
+    fro2 = np.einsum("ij...,ij...->...", aug[:, :d], aug[:, :d])
+    x, logdet = _solve_ones(aug)  # (d, R, C) and (R, C)
+    usable = _well_conditioned(points, subsets, fro2, logdet)
     # an unusable system may be singular, with a non-finite solution
     with np.errstate(divide="ignore", invalid="ignore"):
-        norms = np.linalg.norm(sol, axis=-1)
-        normals = sol / norms[..., None]
+        norms = np.sqrt(np.add.reduce(x * x, axis=0))
+        unit = x / norms
         heights = 1.0 / norms
-        side = normals @ points.transpose(0, 2, 1) - heights[..., None]  # (R, C, n)
-    is_vertex = np.zeros((len(subsets), n), dtype=bool)
-    np.put_along_axis(is_vertex, subsets, True, axis=1)
-    dist = np.abs(side)
-    residual = np.where(is_vertex, dist, 0.0).max(axis=-1)
+        del aug, x  # x is a view of aug: free both before the side tensor
+        side = np.matmul(points, unit.transpose(1, 0, 2))  # (R, n, C)
+        side -= heights[:, None, :]
+    # positions in a flattened (n, C) array of each subset's own points
+    vertex_at = subsets.T * count + np.arange(count)
+    off_plane = np.ones(n * count, dtype=bool)
+    off_plane[vertex_at] = False
+    off_plane = off_plane.reshape(n, count)
+    residual = np.abs(np.take(side.reshape(stack, -1), vertex_at, axis=1)).max(axis=1)
     solved = usable & (residual <= VERTEX_RESIDUAL_TOL)
-    tied = (solved & ((dist < HALFSPACE_TOL) & ~is_vertex).any(axis=-1)).any(axis=-1)
-    below = solved & ((side <= -HALFSPACE_TOL) | is_vertex).all(axis=-1)
-    above = solved & ((side >= HALFSPACE_TOL) | is_vertex).all(axis=-1)
+    negative = ((side < 0.0) & off_plane).sum(axis=1)
+    dist = np.abs(side, out=side)  # the signs are counted: reuse side's memory
+    tied = (solved & ((dist < HALFSPACE_TOL) & off_plane).any(axis=1)).any(axis=1)
+    # in an untied replicate every non-vertex point of a solved system lies
+    # at least HALFSPACE_TOL off the plane, so its sign decides its side
+    below = solved & (negative == n - d)
+    above = solved & (negative == 0)
 
     facets = np.concatenate([below, above], axis=1) & ~tied[:, None]  # (R, 2C)
     signed = np.concatenate([heights, -heights], axis=1)
@@ -267,11 +285,11 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
     if keep_records:
         records = [
             [
-                FacetRecord(tuple(subsets[i]), sign * normals[r, i], float(sign * heights[r, i]))
+                FacetRecord(tuple(subsets[i]), sign * unit[:, r, i], float(sign * heights[r, i]))
                 for sign, mask in zip((1.0, -1.0), facets[r].reshape(2, -1))
                 for i in np.flatnonzero(mask)
             ]
-            for r in range(len(points))
+            for r in range(stack)
         ]
     return tied, counts, min_heights, skipped, signed[facets], records
 
@@ -292,20 +310,33 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     cond_2(A) <= ||A||_F^d / |det A|: a bound below CONDITION_LIMIT / 2
     (the factor 2 covers rounding in the elimination) accepts a system,
     and an SVD decides only the systems the bound cannot accept, so the
-    skipped systems are exactly those of the SVD rule.  This is the
-    census ``estimate`` runs, on a stack of one replicate.
+    skipped systems are exactly those of the SVD rule.  A subset spans a
+    facet when none or all of the remaining points lie below its plane;
+    since no remaining point is within ``HALFSPACE_TOL`` of it, each sign
+    decides its point's side.  This is the census ``estimate`` runs, on a
+    stack of one replicate.
 
-    ``points`` must be a finite (n, d) array with n > d >= 2, and the
-    census's largest tensor, C(n, d) * max(n, d^2) floats, must fit
-    ``_REPLICATE_FLOATS``, else ValueError.  ``HALFSPACE_TOL`` and
-    ``VERTEX_RESIDUAL_TOL`` are absolute, so the points are meant to lie
-    on the unit sphere.
+    ``points`` must be a finite (n, d) array with n > d >= 2 whose every
+    row has a norm within ``HALFSPACE_TOL`` of 1, and the census's largest
+    tensor, C(n, d) * max(n, d^2) floats, must fit ``_REPLICATE_FLOATS``,
+    else ValueError.  The norm check is there because ``HALFSPACE_TOL``
+    and ``VERTEX_RESIDUAL_TOL`` are absolute: far off the unit sphere,
+    rounding alone would decide the skips and the facets.
     """
     points = np.asarray(points, dtype=float)
     if not (points.ndim == 2 and 2 <= points.shape[1] < points.shape[0]
             and np.isfinite(points).all()):
         raise ValueError(
             f"points must be a finite (n, d) array with n > d >= 2, got shape {points.shape}"
+        )
+    # a norm that overflows or underflows is far from 1 either way
+    with np.errstate(over="ignore"):
+        off_sphere = np.abs(np.linalg.norm(points, axis=1) - 1.0)
+    worst = int(np.argmax(off_sphere))
+    if off_sphere[worst] > HALFSPACE_TOL:
+        raise ValueError(
+            f"points must lie on the unit sphere within {HALFSPACE_TOL:g}, "
+            f"got point {worst} of norm {math.hypot(*points[worst])!r}"
         )
     n, d = points.shape
     _check_memory_budget(n, d)
@@ -394,7 +425,7 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
     """
     n, d = int(spec.params.n), spec.params.d
     subsets = _subset_array(n, d)
-    # the largest stacked tensors are (R, C, n) and (R, C, d, d)
+    # the largest stacked tensors are (R, n, C) and (d, d + 1, R, C)
     stack = max(1, _STACK_FLOATS // (len(subsets) * max(n, d * d)))
     counts = np.zeros(spec.replicates, dtype=np.intp)
     min_heights = np.full(spec.replicates, np.nan)

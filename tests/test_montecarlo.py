@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,12 +132,57 @@ class TestCensus:
         with pytest.raises(ValueError, match="n > d >= 2"):
             facet_census(points)
 
+    @pytest.mark.parametrize("scale", [1e9, 1e-170])
+    def test_rejects_points_off_the_sphere(self, scale):
+        """The tolerances are absolute: far off the unit sphere, rounding
+        would decide the facets (above about 1e8), and the solutions'
+        norms overflow (at 1e-170)."""
+        square = np.vstack([np.eye(2), -np.eye(2)]) * scale
+        with pytest.raises(ValueError, match=re.escape(f"point 0 of norm {scale!r}")):
+            facet_census(square)
+
+    def test_names_the_point_furthest_off_the_sphere(self):
+        points = sample_sphere(6, 3, seed=4)
+        points[2] *= 1.0 + 3e-9
+        points[4] *= 1.0 - 5e-9
+        with pytest.raises(ValueError, match="point 4 of norm 0.99999999"):
+            facet_census(points)
+        points[4] /= 1.0 - 5e-9
+        points[2] /= 1.0 + 3e-9
+        assert facet_census(points).facet_count == 8
+
 
 def _svd_rule(mats):
     singulars = np.linalg.svd(mats, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = singulars[..., 0] / singulars[..., -1]
     return np.isfinite(cond) & (cond < montecarlo.CONDITION_LIMIT)
+
+
+def _stack_last(mats):
+    """The systems [A | 1] of a (k, d, d) stack in the elimination's
+    (d, d + 1, k) layout."""
+    k, d, _ = mats.shape
+    aug = np.empty((d, d + 1, k))
+    aug[:, :d] = mats.transpose(1, 2, 0)
+    aug[:, d] = 1.0
+    return aug
+
+
+def _solve(mats):
+    """``_solve_ones`` on a (k, d, d) stack: x as (k, d), ln |det A| as (k,)."""
+    x, logdet = montecarlo._solve_ones(_stack_last(mats))
+    return x.T, logdet
+
+
+def _guard(mats):
+    """``_well_conditioned`` on a (k, d, d) stack, each system being a
+    replicate of d points censused with the one subset range(d)."""
+    d = mats.shape[-1]
+    _, logdet = _solve(mats)
+    fro2 = np.einsum("kij,kij->k", mats, mats)
+    subsets = np.arange(d)[None]
+    return montecarlo._well_conditioned(mats, subsets, fro2[:, None], logdet[:, None])[:, 0]
 
 
 class TestConditionGuard:
@@ -163,8 +209,7 @@ class TestConditionGuard:
         for scale in (1.0, 1e-3, 1e3, 1e-170):
             scaled = mats * scale
             want = _svd_rule(scaled)
-            _, logdet = montecarlo._solve_ones(scaled)
-            assert np.array_equal(montecarlo._well_conditioned(scaled, logdet), want)
+            assert np.array_equal(_guard(scaled), want)
             # 20 systems per ratio: the first ratio is usable, the last is not
             assert want[:20].all() and not want[-21:].any()
 
@@ -197,7 +242,7 @@ class TestElimination:
         rng = np.random.default_rng(100 + d)
         for cond in (1.0, 1e3, 1e6):
             mats = _systems(rng, d, cond, 100)
-            x, logdet = montecarlo._solve_ones(mats)
+            x, logdet = _solve(mats)
             want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
             _, want_logdet = np.linalg.slogdet(mats)
             rel = 1e-12 * max(1.0, cond / 1e3)
@@ -218,8 +263,7 @@ class TestElimination:
         zero_column = rng.standard_normal((d, d))
         zero_column[:, 1] = 0.0
         mats = np.array([twin_rows, zero_column, np.zeros((d, d))])
-        _, logdet = montecarlo._solve_ones(mats)
-        assert not montecarlo._well_conditioned(mats, logdet).any()
+        assert not _guard(mats).any()
 
     def test_tiny_scale(self):
         """At 1e-170 the solutions are about 1e170 and ln |det| about
@@ -227,7 +271,7 @@ class TestElimination:
         rng = np.random.default_rng(7)
         for d in (2, 4, 6):
             mats = _systems(rng, d, 10.0, 20) * 1e-170
-            x, logdet = montecarlo._solve_ones(mats)
+            x, logdet = _solve(mats)
             want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
             _, want_logdet = np.linalg.slogdet(mats)
             assert np.isfinite(x).all()
@@ -241,11 +285,111 @@ class TestElimination:
         rng = np.random.default_rng(11)
         for d in (2, 3, 5):
             stack = rng.standard_normal((101, d, d))
-            x_all, logdet_all = montecarlo._solve_ones(stack)
+            x_all, logdet_all = _solve(stack)
             for i in (0, 57, 100):
-                x, logdet = montecarlo._solve_ones(stack[i : i + 1])
+                x, logdet = _solve(stack[i : i + 1])
                 assert np.array_equal(x[0], x_all[i])
                 assert np.array_equal(logdet[0], logdet_all[i])
+
+
+def _tolerance_census(points, subsets):
+    """The census's outputs (tied, counts, min heights, skipped, heights)
+    by its tolerance rule on an (R, C, n) side tensor, as an oracle for
+    the sign count: a subset spans a facet when every other point lies
+    ``HALFSPACE_TOL`` or more below its plane, or every one that far
+    above.  The solutions come from the same elimination, so the heights
+    must agree bit for bit; the guard is the SVD rule itself."""
+    tol = montecarlo.HALFSPACE_TOL
+    stack, n, d = points.shape
+    mats = points[:, subsets]  # (R, C, d, d)
+    x, _ = _solve(mats.reshape(-1, d, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce(x * x, axis=1))
+        normals = (x / norms[:, None]).reshape(stack, -1, d)
+        heights = (1.0 / norms).reshape(stack, -1)
+        side = normals @ points.transpose(0, 2, 1) - heights[..., None]  # (R, C, n)
+    is_vertex = np.zeros((len(subsets), n), dtype=bool)
+    np.put_along_axis(is_vertex, subsets, True, axis=1)
+    dist = np.abs(side)
+    residual = np.where(is_vertex, dist, 0.0).max(axis=-1)
+    solved = _svd_rule(mats) & (residual <= montecarlo.VERTEX_RESIDUAL_TOL)
+    tied = (solved & ((dist < tol) & ~is_vertex).any(axis=-1)).any(axis=-1)
+    below = solved & ((side <= -tol) | is_vertex).all(axis=-1)
+    above = solved & ((side >= tol) | is_vertex).all(axis=-1)
+    facets = np.concatenate([below, above], axis=1) & ~tied[:, None]
+    signed = np.concatenate([heights, -heights], axis=1)
+    counts = facets.sum(axis=1)
+    min_heights = np.where(facets, signed, np.inf).min(axis=1)
+    min_heights[counts == 0] = np.nan
+    return tied, counts, min_heights, (~solved).sum(axis=1), signed[facets]
+
+
+def _rounded_stack(n, d, stack, seed, decimals, jitter=0.0):
+    """Sphere points rounded to a few decimals, moved by up to ``jitter``
+    and put back on the sphere: coincident points give singular systems,
+    and coplanar ones ties, at distances of about ``jitter``."""
+    points = np.round(np.stack([sample_sphere(n, d, _stream(seed, r, 0)) for r in range(stack)]),
+                      decimals)
+    points += jitter * np.random.default_rng(seed).uniform(-1.0, 1.0, points.shape)
+    points[..., 0][np.all(points == 0.0, axis=-1)] = 1.0
+    return points / np.linalg.norm(points, axis=-1, keepdims=True)
+
+
+class TestSideRule:
+    SHAPES = [(4, 2, 40), (7, 2, 30), (15, 3, 9), (9, 3, 20), (12, 4, 8), (14, 5, 1), (8, 5, 6)]
+
+    def _check(self, points):
+        subsets = montecarlo._subset_array(*points.shape[1:])
+        got = montecarlo._census(points, subsets, True)
+        want = _tolerance_census(points, subsets)
+        for name, a, b in zip(("tied", "counts", "min_heights", "skipped", "heights"), got, want):
+            assert np.array_equal(a, b, equal_nan=True), name
+        # records list each untied replicate's facets in the order of its heights
+        records = [rec for recs in got[5] for rec in recs]
+        assert [rec.height for rec in records] == got[4].tolist()
+        return got
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}_{s[1]}")
+    def test_sphere_stacks(self, shape):
+        n, d, stack = shape
+        points = np.stack([sample_sphere(n, d, _stream(5, r, 0)) for r in range(stack)])
+        tied, counts, *_ = self._check(points)
+        assert not tied.any() and (counts >= d + 1).all()
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-11])
+    def test_rounded_stacks(self, jitter):
+        """Rounding to 1-2 decimals gives skipped systems and tied
+        replicates, where the sign count and the tolerance rule part;
+        the jitter puts the ties strictly inside ``HALFSPACE_TOL``."""
+        ties = skips = 0
+        for n, d, stack in self.SHAPES:
+            for decimals in (1, 2):
+                points = _rounded_stack(n, d, 3 * stack, 9, decimals, jitter)
+                tied, _, _, skipped, _, _ = self._check(points)
+                ties += int(tied.sum())
+                skips += int(skipped.sum())
+        assert ties > 0 and skips > 0
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_replicate_independent_of_its_stack(self, decimals):
+        """A replicate censused alone and inside a stack gives
+        bit-identical results."""
+        for n, d, stack in self.SHAPES:
+            if decimals is None:
+                points = np.stack([sample_sphere(n, d, _stream(6, r, 0)) for r in range(stack + 2)])
+            else:
+                points = _rounded_stack(n, d, stack + 2, 6, decimals)
+            subsets = montecarlo._subset_array(n, d)
+            tied, counts, min_heights, skipped, heights, _ = montecarlo._census(
+                points, subsets, False
+            )
+            own = np.split(heights, np.cumsum(counts)[:-1])
+            for r in range(len(points)):
+                alone = montecarlo._census(points[r : r + 1], subsets, False)
+                assert alone[0][0] == tied[r] and alone[1][0] == counts[r]
+                assert np.array_equal(alone[2][0], min_heights[r], equal_nan=True)
+                assert alone[3][0] == skipped[r]
+                assert np.array_equal(alone[4], own[r])
 
 
 # reports of the benchmark's four shapes, each at the seed of its first
