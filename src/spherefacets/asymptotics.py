@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .exact import PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
-from .numerics import _log_gamma_half_ratio, log_norm_cdf, norm_cdf, norm_pdf
+from .numerics import _log_gamma_half_ratio, log_norm_cdf, norm_pdf
 from .solvers import bisect_root, newton_bracketed
 
 __all__ = [
@@ -400,9 +400,6 @@ class FacetCountAsymptotic:
     regime: Regime
     log_count: float
     dropped: str
-
-    def count(self) -> LogReal:
-        return LogReal.from_log(self.log_count)
 
 
 def facet_count_asymptotic(

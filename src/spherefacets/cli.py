@@ -27,16 +27,13 @@ from . import asymptotics as asym
 from . import exact, montecarlo, quadrature
 from .logreal import LogReal
 from .numerics import check_bounds_suite, random_bounds_grid
-from .quadrature import QuadratureError
 
 SCHEMA_VERSION = 1
 
 
 def _params_from(ns) -> exact.PolytopeParams:
-    if getattr(ns, "ln_n", None) is not None:
+    if ns.ln_n is not None:
         return exact.PolytopeParams.from_log(ns.ln_n, ns.d)
-    if ns.n is None:
-        raise ValueError("provide --n or --ln-n")
     return exact.PolytopeParams(ns.n, ns.d)
 
 
@@ -133,7 +130,6 @@ def _run_mc(ns) -> dict:
         params,
         replicates=ns.replicates,
         seed=ns.seed,
-        subset_cap=ns.subset_cap,
         keep_records=bool(ns.dump_facets),
     )
     result = montecarlo.estimate(spec)
@@ -152,9 +148,7 @@ def _run_mc(ns) -> dict:
 def _run_compare(ns) -> dict:
     params = _params_from(ns)
     exact_count = exact.expected_facets(params).to_float()
-    spec = montecarlo.EnsembleSpec(
-        params, replicates=ns.replicates, seed=ns.seed, subset_cap=ns.subset_cap
-    )
+    spec = montecarlo.EnsembleSpec(params, replicates=ns.replicates, seed=ns.seed)
     result = montecarlo.estimate(spec)
     miss = asym.origin_outside_prob(int(params.n), params.d)
     rows = [
@@ -319,9 +313,10 @@ def emit(report: dict, fmt: str, path: str | None) -> None:
 # ----------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--n", type=int, default=None, help="point count")
-    p.add_argument("--ln-n", type=float, default=None, dest="ln_n",
-                   help="natural log of the point count (for n beyond float range)")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int, default=None, help="point count")
+    size.add_argument("--ln-n", type=float, default=None, dest="ln_n",
+                      help="natural log of the point count (for n beyond float range)")
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
 
 
@@ -334,7 +329,6 @@ def _add_regime(p, family_help=None):
 def _add_census(p):
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subset-cap", type=int, default=1_000_000, dest="subset_cap")
 
 
 def _add_output(p):
@@ -411,10 +405,12 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     if getattr(ns, "cdf_points", 0) < 0:
         parser.error(f"argument --cdf-points: must be >= 0, got {ns.cdf_points}")
+    if getattr(ns, "n_step", 1) < 1:
+        parser.error(f"argument --n-step: must be >= 1, got {ns.n_step}")
     try:
         report = _HANDLERS[ns.subcommand](ns)
         emit(report, ns.format, ns.out)
-    except (ValueError, QuadratureError, ArithmeticError, OSError) as err:
+    except (ValueError, ArithmeticError, OSError) as err:
         print(f"spherefacets: error: {err}", file=sys.stderr)
         return 1
     if ns.subcommand == "verify" and report["failures"]:

@@ -86,6 +86,8 @@ class PolytopeParams:
             raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
         if self.n is not None:
             n = float(self.n)
+            if not math.isfinite(n):
+                raise ValueError(f"n must be finite, got n={self.n}")
             if not (n > self.d and n == math.floor(n)):
                 raise ValueError(f"need integer n > d, got n={self.n}, d={self.d}")
             object.__setattr__(self, "n", n)
@@ -93,6 +95,8 @@ class PolytopeParams:
         else:
             if self.ln_n is None:
                 raise ValueError("provide either n or ln_n")
+            if not math.isfinite(self.ln_n):
+                raise ValueError(f"ln_n must be finite, got ln_n={self.ln_n}")
             if not self.ln_n > math.log(self.d + 1) - 1e-12:
                 raise ValueError(f"ln_n={self.ln_n} implies n <= d+1 for d={self.d}")
 

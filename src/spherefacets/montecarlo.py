@@ -4,14 +4,14 @@ Points are sampled uniformly on the sphere (normalized Gaussians), and
 facets are found by brute force: every d-subset whose affine hull leaves
 all remaining points strictly on one side is a facet.  That is the
 defining criterion itself rather than a fast hull algorithm, which keeps
-this module independent from the quadrature path it cross-checks; the
-``subset_cap`` guard and a memory budget keep the O(C(n, d)) enumeration
-at desk scale.  A whole stack of replicates is censused at once, with
-the stack on the last axis of every tensor: the subsets' systems are
-gathered straight into the augmented layout of one vectorised Gaussian
-elimination, whose pivots also give each system's determinant for the
-condition guard, and each subset's side test is a count of the points
-below its hyperplane.  A stack's results stay arrays until
+this module independent from the quadrature path it cross-checks; one
+size rule, a cap on C(n, d) and a memory budget, keeps the O(C(n, d))
+enumeration at desk scale.  A whole stack of replicates is censused at
+once, with the stack on the last axis of every tensor: the subsets'
+systems are gathered straight into the augmented layout of one
+vectorised Gaussian elimination, whose pivots also give each system's
+determinant for the condition guard, and each subset's side test is a
+count of the points below its hyperplane.  A stack's results stay arrays until
 ``facet_census`` builds its one summary.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
@@ -56,6 +56,8 @@ VERTEX_RESIDUAL_TOL = 1e-8
 # hold at most this many floats each; the elimination's augmented systems,
 # (d, d + 1, R, C), are (d + 1) / d times the latter
 _STACK_FLOATS = 2**16
+# a census enumerates at most this many d-subsets per replicate
+_MAX_SUBSETS = 1_000_000
 # the largest per-replicate tensor, C(n, d) * max(n, d^2) floats, may hold at
 # most this many (1 GiB); a census peaks at 3-4.5x that in resident memory
 _REPLICATE_FLOATS = 2**27
@@ -65,14 +67,25 @@ class DegenerateSampleError(RuntimeError):
     """A non-vertex point ties the supporting hyperplane within tolerance."""
 
 
-def _check_memory_budget(n: int, d: int) -> None:
-    """ValueError unless one replicate's census fits ``_REPLICATE_FLOATS``."""
+def _check_census_size(n: int, d: int) -> int:
+    """Floats in one replicate's largest census tensor, C(n, d) * max(n, d^2).
+
+    ValueError when C(n, d) exceeds ``_MAX_SUBSETS`` or the floats exceed
+    ``_REPLICATE_FLOATS``.
+    """
     subsets = math.comb(n, d)
-    if subsets * max(n, d * d) > _REPLICATE_FLOATS:
+    if subsets > _MAX_SUBSETS:
+        raise ValueError(
+            f"census of n={n}, d={d} needs C({n}, {d}) = {subsets} subsets, "
+            f"over the limit of {_MAX_SUBSETS}"
+        )
+    floats = subsets * max(n, d * d)
+    if floats > _REPLICATE_FLOATS:
         raise ValueError(
             f"census of n={n}, d={d} needs C({n}, {d}) = {subsets} subsets times "
             f"{max(n, d * d)} floats, over the budget of {_REPLICATE_FLOATS} floats"
         )
+    return floats
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,6 @@ class EnsembleSpec:
     params: PolytopeParams
     replicates: int
     seed: int
-    subset_cap: int = 1_000_000
     keep_records: bool = False
 
     def __post_init__(self):
@@ -90,12 +102,7 @@ class EnsembleSpec:
             raise ValueError("Monte Carlo needs an exact point count")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        n, d = int(self.params.n), self.params.d
-        if math.comb(n, d) > self.subset_cap:
-            raise ValueError(
-                f"C({n}, {d}) = {math.comb(n, d)} exceeds subset_cap={self.subset_cap}"
-            )
-        _check_memory_budget(n, d)
+        _check_census_size(int(self.params.n), self.params.d)
 
 
 @dataclass(frozen=True)
@@ -317,11 +324,12 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     stack of one replicate.
 
     ``points`` must be a finite (n, d) array with n > d >= 2 whose every
-    row has a norm within ``HALFSPACE_TOL`` of 1, and the census's largest
-    tensor, C(n, d) * max(n, d^2) floats, must fit ``_REPLICATE_FLOATS``,
-    else ValueError.  The norm check is there because ``HALFSPACE_TOL``
-    and ``VERTEX_RESIDUAL_TOL`` are absolute: far off the unit sphere,
-    rounding alone would decide the skips and the facets.
+    row has a norm within ``HALFSPACE_TOL`` of 1, C(n, d) must not exceed
+    ``_MAX_SUBSETS``, and the census's largest tensor, C(n, d) * max(n, d^2)
+    floats, must fit ``_REPLICATE_FLOATS``, else ValueError.  The norm
+    check is there because ``HALFSPACE_TOL`` and ``VERTEX_RESIDUAL_TOL``
+    are absolute: far off the unit sphere, rounding alone would decide the
+    skips and the facets.
     """
     points = np.asarray(points, dtype=float)
     if not (points.ndim == 2 and 2 <= points.shape[1] < points.shape[0]
@@ -339,7 +347,7 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
             f"got point {worst} of norm {math.hypot(*points[worst])!r}"
         )
     n, d = points.shape
-    _check_memory_budget(n, d)
+    _check_census_size(n, d)
     tied, counts, min_heights, skipped, heights, records = _census(
         points[None], _subset_array(n, d), keep_records
     )
@@ -426,7 +434,7 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
     n, d = int(spec.params.n), spec.params.d
     subsets = _subset_array(n, d)
     # the largest stacked tensors are (R, n, C) and (d, d + 1, R, C)
-    stack = max(1, _STACK_FLOATS // (len(subsets) * max(n, d * d)))
+    stack = max(1, _STACK_FLOATS // _check_census_size(n, d))
     counts = np.zeros(spec.replicates, dtype=np.intp)
     min_heights = np.full(spec.replicates, np.nan)
     records = [None] * spec.replicates if spec.keep_records else None

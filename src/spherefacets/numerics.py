@@ -16,10 +16,10 @@ I_{1-c^2}(a, 1/2) / 2, taken from ln sqrt(1 - c^2) and ln c.  Every
 ratio Gamma(x + 1/2) / Gamma(x) comes from ``_log_gamma_half_ratio``,
 which does not cancel at large x as two lgamma values do.
 
-The module also hosts the inequality checkers used by the verification
-suite: the exponential sandwich for ``(1 - x/n)**n``, the two-sided bound
-for the tail integral of ``(1 - s**2)**D``, and the comparison between the
-rescaled symmetric-beta CDF and the normal CDF.
+The module also hosts the inequality suites of the verification command,
+one table row each: the exponential sandwich for ``(1 - x/n)**n``, the
+two-sided bound for the tail integral of ``(1 - s**2)**D``, and the
+comparison between the rescaled symmetric-beta CDF and the normal CDF.
 """
 
 from __future__ import annotations
@@ -308,116 +308,73 @@ class BoundsReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def merge(self, other: "BoundsReport") -> "BoundsReport":
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-        self.hypothesis_errors.extend(other.hypothesis_errors)
-        return self
 
-
-def _check_exp_sandwich(points, rel_slack: float) -> BoundsReport:
+def _exp_sandwich_sides(x, n, rel_slack):
     """exp(-x - x^2/n) <= (1 - x/n)^n <= exp(-x) whenever 0 <= x/n <= 1/2."""
-    report = BoundsReport()
     slack = math.log1p(rel_slack)
-    for x, n in points:
-        if not (n > 0 and 0.0 <= x / n <= 0.5):
-            report.hypothesis_errors.append(
-                Violation("exp_sandwich", (x, n), "requires 0 <= x/n <= 1/2", 0.0)
-            )
-            continue
-        report.checked += 1
-        mid = n * math.log1p(-x / n)
-        upper = -x
-        lower = -x - x * x / n
-        if mid > upper + slack:
-            report.violations.append(
-                Violation("exp_sandwich", (x, n), "above exp(-x)", mid - upper)
-            )
-        if mid < lower - slack:
-            report.violations.append(
-                Violation("exp_sandwich", (x, n), "below exp(-x - x^2/n)", lower - mid)
-            )
-    return report
+    mid = n * math.log1p(-x / n)
+    upper = -x
+    lower = -x - x * x / n
+    if mid > upper + slack:
+        yield "above exp(-x)", mid - upper
+    if mid < lower - slack:
+        yield "below exp(-x - x^2/n)", lower - mid
 
 
-def _check_tail_ratio(points, rel_slack: float) -> BoundsReport:
+def _tail_ratio_sides(h, big_d, rel_slack):
     """Two-sided bound for integral((1-s^2)^D, h, 1).
 
     The reference is (1-h^2)^(D+1) / (2 h (D+1)); the true integral is at
     most the reference and at least the reference times
     1 - (1-h^2) / (2 h^2 (D+2)).
     """
-    report = BoundsReport()
     slack = math.log1p(rel_slack)
-    for h, big_d in points:
-        if not (big_d > -1.0 and 0.0 < h < 1.0):
-            report.hypothesis_errors.append(
-                Violation("tail_ratio", (h, big_d), "requires D > -1 and 0 < h < 1", 0.0)
-            )
-            continue
-        report.checked += 1
-        a = big_d + 1.0
-        # integral((1-s^2)^D, h, 1) = B(a, 1/2) * (beta(a, a) mass beyond h)
-        log_s = 0.5 * (math.log1p(-h) + math.log1p(h))
-        log_tail = _LOG_SQRT_PI - _log_gamma_half_ratio(a) + _log_half_tail(a, log_s, math.log(h))
-        log_ref = a * math.log1p(-h * h) - math.log(2.0 * h * a)
-        log_ratio = log_tail - log_ref
-        if log_ratio > slack:
-            report.violations.append(
-                Violation("tail_ratio", (h, big_d), "ratio above 1", log_ratio)
-            )
-        lower = 1.0 - (1.0 - h * h) / (2.0 * h * h * (big_d + 2.0))
-        if lower > 0.0 and log_ratio < math.log(lower) - slack:
-            report.violations.append(
-                Violation(
-                    "tail_ratio", (h, big_d), "ratio below lower bound",
-                    math.log(lower) - log_ratio,
-                )
-            )
-    return report
+    a = big_d + 1.0
+    # integral((1-s^2)^D, h, 1) = B(a, 1/2) * (beta(a, a) mass beyond h)
+    log_s = 0.5 * (math.log1p(-h) + math.log1p(h))
+    log_tail = _LOG_SQRT_PI - _log_gamma_half_ratio(a) + _log_half_tail(a, log_s, math.log(h))
+    log_ref = a * math.log1p(-h * h) - math.log(2.0 * h * a)
+    log_ratio = log_tail - log_ref
+    if log_ratio > slack:
+        yield "ratio above 1", log_ratio
+    lower = 1.0 - (1.0 - h * h) / (2.0 * h * h * (big_d + 2.0))
+    if lower > 0.0 and log_ratio < math.log(lower) - slack:
+        yield "ratio below lower bound", math.log(lower) - log_ratio
 
 
-def _check_gauss_comparison(points, rel_slack: float) -> BoundsReport:
+def _gauss_comparison_sides(h, alpha, rel_slack):
     """Rescaled-beta CDF vs normal CDF.
 
     For h in [0, sqrt(alpha)]: Phi <= Phi_alpha <= a_alpha * Phi.
     For h in [-sqrt(alpha), 0]: Phi >= Phi_alpha >= (1 - a_alpha)/2 + a_alpha * Phi.
     """
-    report = BoundsReport()
-    for h, alpha in points:
-        if not (alpha > 0 and abs(h) <= math.sqrt(alpha)):
-            report.hypothesis_errors.append(
-                Violation("gauss_comparison", (h, alpha), "requires |h| <= sqrt(alpha)", 0.0)
-            )
-            continue
-        report.checked += 1
-        phi_a = scaled_beta_cdf(h, alpha)
-        phi = norm_cdf(h)
-        ratio = gauss_beta_norm(alpha)
-        if h >= 0.0:
-            if phi > phi_a * (1.0 + rel_slack):
-                report.violations.append(
-                    Violation("gauss_comparison", (h, alpha), "Phi above Phi_alpha",
-                              phi - phi_a)
-                )
-            if phi_a > ratio * phi * (1.0 + rel_slack):
-                report.violations.append(
-                    Violation("gauss_comparison", (h, alpha),
-                              "Phi_alpha above a_alpha * Phi", phi_a - ratio * phi)
-                )
-        else:
-            if phi_a > phi * (1.0 + rel_slack):
-                report.violations.append(
-                    Violation("gauss_comparison", (h, alpha), "Phi_alpha above Phi",
-                              phi_a - phi)
-                )
-            rhs = 0.5 * (1.0 - ratio) + ratio * phi
-            if rhs > 0.0 and phi_a < rhs * (1.0 - rel_slack):
-                report.violations.append(
-                    Violation("gauss_comparison", (h, alpha),
-                              "Phi_alpha below mirrored bound", rhs - phi_a)
-                )
-    return report
+    phi_a = scaled_beta_cdf(h, alpha)
+    phi = norm_cdf(h)
+    ratio = gauss_beta_norm(alpha)
+    if h >= 0.0:
+        if phi > phi_a * (1.0 + rel_slack):
+            yield "Phi above Phi_alpha", phi - phi_a
+        if phi_a > ratio * phi * (1.0 + rel_slack):
+            yield "Phi_alpha above a_alpha * Phi", phi_a - ratio * phi
+    else:
+        if phi_a > phi * (1.0 + rel_slack):
+            yield "Phi_alpha above Phi", phi_a - phi
+        rhs = 0.5 * (1.0 - ratio) + ratio * phi
+        if rhs > 0.0 and phi_a < rhs * (1.0 - rel_slack):
+            yield "Phi_alpha below mirrored bound", rhs - phi_a
+
+
+# one row per suite, in report order: (name, hypothesis(a, b), the requirement
+# reported for a point that fails it, sides(a, b, rel_slack) yielding
+# (detail, excess) for each side of the inequality the point violates)
+_SUITES = (
+    ("exp_sandwich", lambda x, n: n > 0 and 0.0 <= x / n <= 0.5,
+     "requires 0 <= x/n <= 1/2", _exp_sandwich_sides),
+    ("tail_ratio", lambda h, big_d: big_d > -1.0 and 0.0 < h < 1.0,
+     "requires D > -1 and 0 < h < 1", _tail_ratio_sides),
+    ("gauss_comparison", lambda h, alpha: alpha > 0 and abs(h) <= math.sqrt(alpha),
+     "requires |h| <= sqrt(alpha)", _gauss_comparison_sides),
+)
 
 
 def check_bounds_suite(
@@ -430,15 +387,23 @@ def check_bounds_suite(
 
     Points violating a hypothesis are reported per-point under
     ``hypothesis_errors`` and skipped; genuine violations beyond
-    ``rel_slack`` land in ``violations``.
+    ``rel_slack`` land in ``violations``.  ``rel_slack`` must exceed -1.
     """
+    if rel_slack <= -1.0:
+        raise ValueError(f"rel_slack must exceed -1, got {rel_slack}")
     report = BoundsReport()
-    if exp_points is not None:
-        report.merge(_check_exp_sandwich(exp_points, rel_slack))
-    if tail_points is not None:
-        report.merge(_check_tail_ratio(tail_points, rel_slack))
-    if gauss_points is not None:
-        report.merge(_check_gauss_comparison(gauss_points, rel_slack))
+    for (suite, hypothesis, requirement, sides), points in zip(
+        _SUITES, (exp_points, tail_points, gauss_points)
+    ):
+        for a, b in points if points is not None else ():
+            if not hypothesis(a, b):
+                report.hypothesis_errors.append(Violation(suite, (a, b), requirement, 0.0))
+                continue
+            report.checked += 1
+            report.violations.extend(
+                Violation(suite, (a, b), detail, excess)
+                for detail, excess in sides(a, b, rel_slack)
+            )
     return report
 
 

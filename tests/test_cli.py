@@ -181,6 +181,34 @@ class TestEmission:
         assert exc.value.code == 2
         assert "--cdf-points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", "20", "--ln-n", "5", "--d", "3"],
+        ["mc", "--n", "12", "--ln-n", "5", "--d", "4"],
+    ])
+    def test_n_and_ln_n_together_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_missing_point_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--d", "3"])
+        assert exc.value.code == 2
+        assert "--n --ln-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_n_step_below_one_is_a_usage_error(self, capsys, step):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--d", "3", "--n-start", "5", "--n-stop", "9", "--n-step", step])
+        assert exc.value.code == 2
+        assert "--n-step" in capsys.readouterr().err
+
+    def test_infinite_ln_n_exits_one_naming_it(self, capsys):
+        code, _, err = run_cli(capsys, "exact", "--ln-n", "inf", "--d", "3")
+        assert code == 1
+        assert "ln_n must be finite" in err
+
     def test_numeric_error_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--n", "3", "--d", "5")
         assert code == 1

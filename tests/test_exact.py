@@ -53,6 +53,13 @@ class TestParams:
         with pytest.raises(ValueError):
             PolytopeParams.from_log(math.log(3.0), 3)
 
+    @pytest.mark.parametrize("size", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_sizes(self, size):
+        with pytest.raises(ValueError, match=f"n must be finite, got n={size}"):
+            PolytopeParams(size, 3)
+        with pytest.raises(ValueError, match=f"ln_n must be finite, got ln_n={size}"):
+            PolytopeParams.from_log(size, 3)
+
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
         assert p.n is None

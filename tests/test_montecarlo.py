@@ -428,13 +428,17 @@ class TestEnsemble:
         p = PolytopeParams(12, 4)
         with pytest.raises(ValueError):
             EnsembleSpec(p, replicates=0, seed=0)
-        with pytest.raises(ValueError):
-            EnsembleSpec(p, replicates=10, seed=0, subset_cap=100)
+        # C(50, 5) = 2118760 subsets times 50 floats fits the float budget,
+        # so only the subset limit rejects it, in both entry points
+        with pytest.raises(ValueError, match="over the limit of 1000000"):
+            EnsembleSpec(PolytopeParams(50, 5), replicates=1, seed=0)
+        with pytest.raises(ValueError, match="over the limit of 1000000"):
+            facet_census(sample_sphere(50, 5, seed=0))
         with pytest.raises(ValueError):
             EnsembleSpec(PolytopeParams.from_log(900.0, 30), replicates=1, seed=0)
 
     def test_memory_budget(self, monkeypatch):
-        # (1414, 2) passes the default subset_cap, but its side tensor alone
+        # (1414, 2) passes the subset limit, but its side tensor alone
         # would hold 1.4e9 floats; only the spec is built
         with pytest.raises(ValueError, match="n=1414, d=2"):
             EnsembleSpec(PolytopeParams(1414, 2), replicates=1, seed=0)

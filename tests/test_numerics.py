@@ -325,3 +325,32 @@ class TestBoundsSuite:
         # slack of -1 makes every checked point fail: the plumbing reports
         report = check_bounds_suite(exp_points=[(1.0, 10.0)], rel_slack=-0.5)
         assert not report.ok()
+
+    def test_every_suite_reports_its_own_violations(self):
+        # at rel_slack = -0.5 both sides of every inequality fail; each
+        # suite reports under its own name and details, in side order, and
+        # a point given as a list comes back as a tuple
+        report = check_bounds_suite(
+            exp_points=[[1.0, 10.0]],
+            tail_points=[[0.5, 3.0]],
+            gauss_points=[(0.5, 10.0), [-0.5, 10.0]],
+            rel_slack=-0.5,
+        )
+        assert report.checked == 4 and report.hypothesis_errors == []
+        assert [(v.suite, v.point, v.detail) for v in report.violations] == [
+            ("exp_sandwich", (1.0, 10.0), "above exp(-x)"),
+            ("exp_sandwich", (1.0, 10.0), "below exp(-x - x^2/n)"),
+            ("tail_ratio", (0.5, 3.0), "ratio above 1"),
+            ("tail_ratio", (0.5, 3.0), "ratio below lower bound"),
+            ("gauss_comparison", (0.5, 10.0), "Phi above Phi_alpha"),
+            ("gauss_comparison", (0.5, 10.0), "Phi_alpha above a_alpha * Phi"),
+            ("gauss_comparison", (-0.5, 10.0), "Phi_alpha above Phi"),
+            ("gauss_comparison", (-0.5, 10.0), "Phi_alpha below mirrored bound"),
+        ]
+        assert all(type(v.point) is tuple for v in report.violations)
+
+    def test_rejects_bad_slack_and_points(self):
+        with pytest.raises(ValueError, match="rel_slack"):
+            check_bounds_suite(gauss_points=[(0.0, 10.0)], rel_slack=-1.0)
+        with pytest.raises(ValueError):
+            check_bounds_suite(tail_points=[(0.5, 3.0, 1.0)])
