@@ -407,6 +407,12 @@ def main(argv=None) -> int:
         parser.error(f"argument --cdf-points: must be >= 0, got {ns.cdf_points}")
     if getattr(ns, "n_step", 1) < 1:
         parser.error(f"argument --n-step: must be >= 1, got {ns.n_step}")
+    if getattr(ns, "seed", 0) < 0:
+        parser.error(f"argument --seed: must be >= 0, got {ns.seed}")
+    if not 1 <= getattr(ns, "replicates", 1) < 2**32:
+        parser.error(f"argument --replicates: must be in [1, 2**32), got {ns.replicates}")
+    if getattr(ns, "points", 1) < 1:
+        parser.error(f"argument --points: must be >= 1, got {ns.points}")
     try:
         report = _HANDLERS[ns.subcommand](ns)
         emit(report, ns.format, ns.out)

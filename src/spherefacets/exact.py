@@ -85,7 +85,13 @@ class PolytopeParams:
         if not (isinstance(self.d, int) and self.d >= 2):
             raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
         if self.n is not None:
-            n = float(self.n)
+            try:
+                n = float(self.n)
+            except OverflowError:
+                raise ValueError(
+                    "n is too large for a float; give ln_n instead, "
+                    "PolytopeParams.from_log(math.log(n), d)"
+                ) from None
             if not math.isfinite(n):
                 raise ValueError(f"n must be finite, got n={self.n}")
             if not (n > self.d and n == math.floor(n)):

@@ -15,15 +15,22 @@ count of the points below its hyperplane.  A stack's results stay arrays until
 ``facet_census`` builds its one summary.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
-attempt), so reports are reproducible and independent of scheduling.
-Samples with a near-tie against the half-space tolerance are discarded
-and redrawn (counted), never silently classified.
+attempt), so reports are reproducible and independent of scheduling:
+the stream of replicate r, attempt a, is numpy's
+``default_rng(SeedSequence(seed, spawn_key=(r, a)))``.  ``estimate``
+seeds them all in one vectorised pass of SeedSequence's mixing, which
+gives the same PCG64 seed words bit for bit, and draws a stack's points
+into one array.  Samples with a near-tie against the half-space
+tolerance are discarded and redrawn (counted), never silently
+classified.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -61,6 +68,11 @@ _MAX_SUBSETS = 1_000_000
 # the largest per-replicate tensor, C(n, d) * max(n, d^2) floats, may hold at
 # most this many (1 GiB); a census peaks at 3-4.5x that in resident memory
 _REPLICATE_FLOATS = 2**27
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 class DegenerateSampleError(RuntimeError):
@@ -88,6 +100,14 @@ def _check_census_size(n: int, d: int) -> int:
     return floats
 
 
+def _is_int_in(value, low: int, high: float) -> bool:
+    """Whether ``value`` is an integer (by ``operator.index``) in [low, high)."""
+    try:
+        return low <= operator.index(value) < high
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """A reproducible batch of facet censuses."""
@@ -100,8 +120,13 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.params.n is None:
             raise ValueError("Monte Carlo needs an exact point count")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        # a replicate index is one uint32 word of its stream's spawn key
+        if not _is_int_in(self.replicates, 1, 2**32):
+            raise ValueError(
+                f"replicates must be an integer in [1, 2**32), got {self.replicates!r}"
+            )
+        if not _is_int_in(self.seed, 0, math.inf):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_census_size(int(self.params.n), self.params.d)
 
 
@@ -145,6 +170,93 @@ class CensusSummary:
             raise ValueError("origin_inside must match the sign of min_height")
 
 
+def _stream_states(seed: int, keys) -> np.ndarray:
+    """PCG64 seed words of the streams SeedSequence(seed, spawn_key=(r, a)).
+
+    ``keys`` holds (r, a) pairs with 0 <= r, a < 2**32.  Row k of the
+    (K, 4) uint64 result equals
+    ``SeedSequence(seed, spawn_key=keys[k]).generate_state(4, np.uint64)``
+    bit for bit: this is SeedSequence's entropy mixing and
+    ``generate_state`` (pool size 4), whose output NEP 19 keeps fixed, run
+    over all keys at once.  The hash constants do not depend on the data
+    and the seed's words come first, so only r and a, the last two entropy
+    words, are arrays; everything before them is plain integers.
+    """
+    seed = operator.index(seed)
+    keys = np.asarray(keys, dtype=np.uint32).reshape(-1, 2)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # a spawn key pads the seed's words with zeros to the pool size
+    entropy = words + [0] * (4 - len(words)) + [keys[:, 0], keys[:, 1]]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = np.empty((len(keys), 8), dtype="<u4")
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeded_type() -> type:
+    """``_Seeded``, the seed sequence that hands PCG64 words from
+    ``_stream_states``; built on first use, so that importing this module
+    does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Seeded(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 seed words
+
+    return _Seeded
+
+
+def _sphere_stack(n: int, d: int, generators: list) -> np.ndarray:
+    """n uniform points on the unit sphere in R^d from each generator.
+
+    Row r of the (R, n, d) result is drawn from ``generators[r]``: its
+    standard Gaussian block, with any zero-norm point redrawn from the
+    same generator, and then the whole stack is normalized at once.
+    """
+    points = np.empty((len(generators), n, d))
+    for rng, block in zip(generators, points):
+        rng.standard_normal(out=block)
+    norms = np.linalg.norm(points, axis=2)
+    for r in np.flatnonzero((norms == 0.0).any(axis=1)):  # probability-zero guard
+        while np.any(norms[r] == 0.0):
+            bad = norms[r] == 0.0
+            points[r, bad] = generators[r].standard_normal((int(bad.sum()), d))
+            norms[r] = np.linalg.norm(points[r], axis=1)
+    return points / norms[..., None]
+
+
 def sample_sphere(n: int, d: int, seed) -> np.ndarray:
     """n i.i.d. uniform points on the unit sphere in R^d.
 
@@ -155,13 +267,7 @@ def sample_sphere(n: int, d: int, seed) -> np.ndarray:
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pts = rng.standard_normal((n, d))
-    norms = np.linalg.norm(pts, axis=1)
-    while np.any(norms == 0.0):  # probability-zero guard
-        bad = norms == 0.0
-        pts[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(pts, axis=1)
-    return pts / norms[:, None]
+    return _sphere_stack(n, d, [rng])[0]
 
 
 def _subset_array(n: int, d: int) -> np.ndarray:
@@ -424,7 +530,9 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
 
     Replicate r, attempt a, uses the stream seeded by
     SeedSequence(seed, spawn_key=(r, a)); the report is a deterministic
-    function of the spec.  A worklist of (replicate, attempt) pairs is
+    function of the spec.  The seed words of every first attempt come
+    from one ``_stream_states`` call, and a redraw's when it is queued;
+    no SeedSequence is built.  A worklist of (replicate, attempt) pairs is
     censused in stacks whose largest tensor holds at most
     ``_STACK_FLOATS`` floats.  A replicate with a half-space tie is
     redrawn alone, as (r, a + 1) at the end of the worklist, and counted
@@ -440,14 +548,16 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
     records = [None] * spec.replicates if spec.keep_records else None
     owners, heights = [], []
     work = [(rep, 0) for rep in range(spec.replicates)]
+    states = _stream_states(spec.seed, work)
+    seeded = _seeded_type()
     degenerate = done = skipped = 0
     while done < len(work):
         batch = work[done : done + stack]
-        done += len(batch)
-        points = np.stack([
-            sample_sphere(n, d, np.random.SeedSequence(spec.seed, spawn_key=(rep, attempt)))
-            for rep, attempt in batch
+        points = _sphere_stack(n, d, [
+            np.random.Generator(np.random.PCG64(seeded(words)))
+            for words in states[done : done + stack]
         ])
+        done += len(batch)
         tied, stack_counts, stack_min, stack_skipped, stack_heights, stack_records = _census(
             points, subsets, spec.keep_records
         )
@@ -468,6 +578,7 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
             if attempt + 1 == 1000:
                 raise RuntimeError(f"replicate {rep} degenerate after 1000 redraws")
             work.append((rep, attempt + 1))
+            states = np.concatenate([states, _stream_states(spec.seed, work[-1:])])
     # each replicate's heights come from its one untied census, in order
     by_replicate = np.argsort(np.concatenate(owners), kind="stable")
     return EnsembleReport(

@@ -204,6 +204,27 @@ class TestEmission:
         assert exc.value.code == 2
         assert "--n-step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["mc", "--n", "6", "--d", "2", "--seed", "-1"], "--seed"),
+        (["compare", "--n", "6", "--d", "2", "--seed", "-1"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["mc", "--n", "6", "--d", "2", "--replicates", "0"], "--replicates"),
+        (["mc", "--n", "6", "--d", "2", "--replicates", "-2"], "--replicates"),
+        (["compare", "--n", "6", "--d", "2", "--replicates", str(2**32)], "--replicates"),
+        (["verify", "--points", "-3"], "--points"),
+        (["verify", "--points", "0"], "--points"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_out_of_range_census_and_verify_flags_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_n_beyond_float_range_exits_one_naming_ln_n(self, capsys):
+        code, _, err = run_cli(capsys, "exact", "--n", "1" + "0" * 400, "--d", "3")
+        assert code == 1
+        assert "n is too large for a float; give ln_n instead" in err
+
     def test_infinite_ln_n_exits_one_naming_it(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--ln-n", "inf", "--d", "3")
         assert code == 1

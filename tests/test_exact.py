@@ -60,6 +60,11 @@ class TestParams:
         with pytest.raises(ValueError, match=f"ln_n must be finite, got ln_n={size}"):
             PolytopeParams.from_log(size, 3)
 
+    def test_rejects_n_beyond_float_range(self):
+        with pytest.raises(ValueError, match="n is too large for a float; give ln_n instead"):
+            PolytopeParams(10**400, 3)
+        assert PolytopeParams.from_log(math.log(10**400), 3).ln_n == pytest.approx(921.034037)
+
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
         assert p.n is None

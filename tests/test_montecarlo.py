@@ -33,8 +33,71 @@ def _stream(seed, rep, attempt):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, attempt)))
 
 
+def _seeded_stream(words):
+    return np.random.Generator(np.random.PCG64(montecarlo._seeded_type()(words)))
+
+
+class _ZeroFirstPoint:
+    """A generator whose first draw puts its first point at the origin."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, size=None, out=None):
+        values = self.rng.standard_normal(size, out=out)
+        if not self.draws:
+            values[0] = 0.0
+        self.draws += 1
+        return values
+
+
 def _per_replicate_heights(report):
     return np.split(report.pooled_heights, np.cumsum(report.counts)[:-1])
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 12345678901, 2**96 + 3, 2**128 + 9, 2**200 + 1]
+STREAM_KEYS = [(0, 0), (1, 1), (299, 999), (2**32 - 1, 0)]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_states_equal_seed_sequence(self, seed):
+        """Bit for bit, including seeds longer than the 4-word pool."""
+        want = np.array([
+            np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            for key in STREAM_KEYS
+        ])
+        got = montecarlo._stream_states(seed, STREAM_KEYS)
+        assert got.dtype == np.uint64 and got.shape == (len(STREAM_KEYS), 4)
+        assert np.array_equal(got, want)
+        for key, words in zip(STREAM_KEYS, got):
+            assert np.array_equal(
+                _seeded_stream(words).standard_normal(8), _stream(seed, *key).standard_normal(8)
+            )
+
+    @pytest.mark.parametrize("seed", [0, 2**128 + 9])
+    @pytest.mark.parametrize("n, d", [(4, 2), (15, 3), (14, 5)])
+    def test_sphere_stack_equals_sample_sphere(self, seed, n, d):
+        states = montecarlo._stream_states(seed, STREAM_KEYS)
+        stack = montecarlo._sphere_stack(n, d, [_seeded_stream(w) for w in states])
+        singles = []
+        for key in STREAM_KEYS:
+            gauss = _stream(seed, *key).standard_normal((n, d))
+            singles.append(gauss / np.linalg.norm(gauss, axis=1)[:, None])
+            assert np.array_equal(sample_sphere(n, d, _stream(seed, *key)), singles[-1])
+        assert np.array_equal(stack, np.stack(singles))
+
+    def test_zero_norm_point_redrawn_from_its_own_stream(self):
+        n, d = 6, 3
+        stubbed = _ZeroFirstPoint(_stream(4, 1, 0))
+        stack = montecarlo._sphere_stack(n, d, [_stream(4, 0, 0), stubbed, _stream(4, 2, 0)])
+        assert stubbed.draws == 2
+        rng = _stream(4, 1, 0)
+        gauss = rng.standard_normal((n, d))
+        gauss[0] = rng.standard_normal((1, d))
+        assert np.array_equal(stack[1], gauss / np.linalg.norm(gauss, axis=1)[:, None])
+        for r in (0, 2):
+            assert np.array_equal(stack[r], sample_sphere(n, d, _stream(4, r, 0)))
 
 
 class TestSampling:
@@ -437,6 +500,20 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             EnsembleSpec(PolytopeParams.from_log(900.0, 30), replicates=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    def test_spec_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            EnsembleSpec(PolytopeParams(12, 4), replicates=1, seed=seed)
+
+    @pytest.mark.parametrize("replicates", [0, -2, 2.0, 2**32])
+    def test_spec_rejects_bad_replicates(self, replicates):
+        with pytest.raises(ValueError, match=r"replicates must be an integer in \[1, 2\*\*32\)"):
+            EnsembleSpec(PolytopeParams(12, 4), replicates=replicates, seed=0)
+
+    def test_spec_accepts_integer_extremes(self):
+        EnsembleSpec(PolytopeParams(12, 4), replicates=2**32 - 1, seed=2**200 + 1)
+        EnsembleSpec(PolytopeParams(12, 4), replicates=np.int64(3), seed=np.uint64(0))
+
     def test_memory_budget(self, monkeypatch):
         # (1414, 2) passes the subset limit, but its side tensor alone
         # would hold 1.4e9 floats; only the spec is built
@@ -495,6 +572,18 @@ class TestEnsemble:
             report.pooled_heights, np.concatenate([s.heights for s in singles])
         )
 
+    def test_one_stack_keeps_replicate_streams(self):
+        """(4,2) censuses all 300 replicates in one stack; each must still
+        equal a census of its own stream."""
+        report = estimate(EnsembleSpec(PolytopeParams(4, 2), replicates=300, seed=7))
+        singles = [facet_census(sample_sphere(4, 2, _stream(7, r, 0))) for r in range(300)]
+        assert report.degenerate_resamples == 0
+        assert np.array_equal(report.counts, [s.facet_count for s in singles])
+        assert np.array_equal(report.min_heights, [s.min_height for s in singles])
+        assert np.array_equal(
+            report.pooled_heights, np.concatenate([s.heights for s in singles])
+        )
+
     @pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda k: f"{k[0]}_{k[1]}")
     def test_pinned_reports(self, key):
         """Counts, origin flags, skips and redraws equal the pinned reports
@@ -518,17 +607,20 @@ class TestEnsemble:
     def test_degenerate_replicate_redrawn_alone(self, monkeypatch):
         spec = EnsembleSpec(PolytopeParams(4, 2), replicates=6, seed=11)
         clean = estimate(spec)
-        real_sample = montecarlo.sample_sphere
-        calls = []
+        real_stack = montecarlo._sphere_stack
+        streams = []
 
-        def tie_on_second_call(n, d, seed):
-            calls.append(seed)
-            return TIE_POINTS.copy() if len(calls) == 2 else real_sample(n, d, seed)
+        def tie_on_second_stream(n, d, generators):
+            points = real_stack(n, d, generators)
+            if len(streams) < 2 <= len(streams) + len(generators):
+                points[1 - len(streams)] = TIE_POINTS
+            streams.extend(generators)
+            return points
 
-        monkeypatch.setattr(montecarlo, "sample_sphere", tie_on_second_call)
+        monkeypatch.setattr(montecarlo, "_sphere_stack", tie_on_second_stream)
         report = estimate(spec)
         assert report.degenerate_resamples == 1
-        assert len(calls) == 7
+        assert len(streams) == 7
         others = [0, 2, 3, 4, 5]
         assert np.array_equal(report.counts[others], clean.counts[others])
         assert np.array_equal(report.min_heights[others], clean.min_heights[others])
@@ -536,7 +628,7 @@ class TestEnsemble:
         heights, clean_heights = _per_replicate_heights(report), _per_replicate_heights(clean)
         for r in others:
             assert np.array_equal(heights[r], clean_heights[r])
-        redrawn = facet_census(real_sample(4, 2, _stream(11, 1, 1)))
+        redrawn = facet_census(sample_sphere(4, 2, _stream(11, 1, 1)))
         assert report.counts[1] == redrawn.facet_count
         assert np.array_equal(heights[1], redrawn.heights)
 
