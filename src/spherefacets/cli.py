@@ -8,8 +8,23 @@ oracle suites; nonzero exit on any violation).
 Every path is a thin adapter over the library modules: the numbers
 emitted are exactly what the corresponding direct calls return.  The
 quadrature runs at its one fixed accuracy (relative target 1e-9), which
-``exact`` reports as ``rel_tol``; no command takes a tolerance.  Exit
-codes: 0 success, 1 numeric or I/O failure, 2 usage error.
+``exact`` reports as ``rel_tol``; no command takes a tolerance.
+
+Each numeric flag declares its domain as its argparse ``type``:
+
+- ``--n``, ``--n-start``, ``--n-stop``: integers >= 3; ``--d`` >= 2;
+  ``--n-step`` >= 1; ``--seed`` >= 0; ``--replicates`` in [1, 2^32 - 1];
+- ``verify --points`` in [1, 200000] and ``exact --cdf-points`` in
+  [0, 20000], caps at which a command still ends within seconds;
+- ``--r1``, ``--r2``: finite and > 0; ``--rho``: finite and >= 0;
+  ``--h1``, ``--h2``: in [-1, 1];
+- ``--ln-n`` is any float: its validity depends on ``--d`` and is the
+  library's to judge.
+
+Rules across flags stay with the code that owns them: the library checks
+n > d, h1 <= h2, ln n and the regime's rho (exit 1), and ``scan`` refuses
+``--n-stop`` below ``--n-start`` (exit 2).  Exit codes: 0 success, 1
+library, numeric or I/O failure, 2 usage error (argparse names the flag).
 """
 
 from __future__ import annotations
@@ -38,10 +53,10 @@ def _params_from(ns) -> exact.PolytopeParams:
 
 
 def _regime_from(ns) -> asym.RegimeSpec:
-    if getattr(ns, "family", None):
+    if ns.family:
         return asym.classify(asym.parse_family(ns.family))
-    if getattr(ns, "regime", None):
-        return asym.RegimeSpec.from_tag(ns.regime, getattr(ns, "rho", None))
+    if ns.regime:
+        return asym.RegimeSpec.from_tag(ns.regime, ns.rho)
     raise ValueError("provide --family or --regime (a regime is never guessed)")
 
 
@@ -200,6 +215,9 @@ def _run_compare(ns) -> dict:
 
 
 def _run_scan(ns) -> dict:
+    if ns.n_stop < ns.n_start:
+        raise UsageError(f"argument --n-stop: must be >= --n-start ({ns.n_start}), "
+                         f"got {ns.n_stop}")
     window = exact.HeightInterval(ns.h1, ns.h2)
     spec = _regime_from(ns) if ns.regime or ns.family else None
     rows = []
@@ -312,23 +330,67 @@ def emit(report: dict, fmt: str, path: str | None) -> None:
 # argument parsing
 # ----------------------------------------------------------------------
 
+class UsageError(Exception):
+    """A usage error only a handler can see (it spans two flags); exit 2."""
+
+
+def _integer(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi], unbounded above when hi is None."""
+    domain = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be an integer {domain}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _finite(lo: float, hi: float = math.inf, *, above: bool = False):
+    """argparse type: a finite float in [lo, hi], or in (lo, hi] when ``above``."""
+    if hi < math.inf:
+        domain = f"in [{lo:g}, {hi:g}]"
+    else:
+        domain = f"{'>' if above else '>='} {lo:g}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        low_ok = value > lo if above else value >= lo
+        if not (math.isfinite(value) and low_ok and value <= hi):
+            raise argparse.ArgumentTypeError(f"must be a finite number {domain}, got {text!r}")
+        return value
+
+    return parse
+
+
+_HEIGHT = _finite(-1.0, 1.0)
+
+
 def _add_common(p):
     size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--n", type=int, default=None, help="point count")
+    size.add_argument("--n", type=_integer(3), default=None, help="point count")
     size.add_argument("--ln-n", type=float, default=None, dest="ln_n",
                       help="natural log of the point count (for n beyond float range)")
-    p.add_argument("--d", type=int, required=True, help="ambient dimension")
+    p.add_argument("--d", type=_integer(2), required=True, help="ambient dimension")
 
 
 def _add_regime(p, family_help=None):
-    p.add_argument("--family", default=None, help=family_help)
-    p.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
-    p.add_argument("--rho", type=float, default=None)
+    regime = p.add_mutually_exclusive_group()
+    regime.add_argument("--family", default=None, help=family_help)
+    regime.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
+    p.add_argument("--rho", type=_finite(0.0), default=None)
 
 
 def _add_census(p):
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicates", type=_integer(1, 2**32 - 1), default=1000)
+    p.add_argument("--seed", type=_integer(0), default=0)
 
 
 def _add_output(p):
@@ -345,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="quadrature-exact facet count and height CDF")
     _add_common(p)
-    p.add_argument("--h1", type=float, default=-1.0)
-    p.add_argument("--h2", type=float, default=1.0)
-    p.add_argument("--cdf-points", type=int, default=0,
+    p.add_argument("--h1", type=_HEIGHT, default=-1.0)
+    p.add_argument("--h2", type=_HEIGHT, default=1.0)
+    p.add_argument("--cdf-points", type=_integer(0, 20_000), default=0,
                    help="emit every (len // N)-th row of the typical-height CDF table "
                         "cdf_table(law, N): N to 2N rows, not always the h = 1 row")
     _add_output(p)
@@ -355,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asym", help="regime asymptotics (regime must be supplied)")
     _add_common(p)
     _add_regime(p, "growth family, e.g. 'n-d=0.5*d', 'ln(n)=2*d', 'd=3'")
-    p.add_argument("--r1", type=float, default=10.0)
-    p.add_argument("--r2", type=float, default=0.1)
+    p.add_argument("--r1", type=_finite(0.0, above=True), default=10.0)
+    p.add_argument("--r2", type=_finite(0.0, above=True), default=0.1)
     _add_output(p)
 
     p = sub.add_parser("mc", help="Monte Carlo facet census")
@@ -373,18 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     p = sub.add_parser("scan", help="sweep n at fixed d, emit a table")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-start", type=int, required=True, dest="n_start")
-    p.add_argument("--n-stop", type=int, required=True, dest="n_stop")
-    p.add_argument("--n-step", type=int, default=1, dest="n_step")
-    p.add_argument("--h1", type=float, default=-1.0)
-    p.add_argument("--h2", type=float, default=1.0)
+    p.add_argument("--d", type=_integer(2), required=True)
+    p.add_argument("--n-start", type=_integer(3), required=True, dest="n_start")
+    p.add_argument("--n-stop", type=_integer(3), required=True, dest="n_stop")
+    p.add_argument("--n-step", type=_integer(1), default=1, dest="n_step")
+    p.add_argument("--h1", type=_HEIGHT, default=-1.0)
+    p.add_argument("--h2", type=_HEIGHT, default=1.0)
     _add_regime(p)
     _add_output(p)
 
     p = sub.add_parser("verify", help="run the inequality and oracle suites")
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_integer(1, 200_000), default=2000)
+    p.add_argument("--seed", type=_integer(0), default=0)
     _add_output(p)
 
     return parser
@@ -403,19 +465,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if getattr(ns, "cdf_points", 0) < 0:
-        parser.error(f"argument --cdf-points: must be >= 0, got {ns.cdf_points}")
-    if getattr(ns, "n_step", 1) < 1:
-        parser.error(f"argument --n-step: must be >= 1, got {ns.n_step}")
-    if getattr(ns, "seed", 0) < 0:
-        parser.error(f"argument --seed: must be >= 0, got {ns.seed}")
-    if not 1 <= getattr(ns, "replicates", 1) < 2**32:
-        parser.error(f"argument --replicates: must be in [1, 2**32), got {ns.replicates}")
-    if getattr(ns, "points", 1) < 1:
-        parser.error(f"argument --points: must be >= 1, got {ns.points}")
     try:
         report = _HANDLERS[ns.subcommand](ns)
         emit(report, ns.format, ns.out)
+    except UsageError as err:
+        parser.error(str(err))
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"spherefacets: error: {err}", file=sys.stderr)
         return 1

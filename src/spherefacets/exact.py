@@ -105,6 +105,12 @@ class PolytopeParams:
                 raise ValueError(f"ln_n must be finite, got ln_n={self.ln_n}")
             if not self.ln_n > math.log(self.d + 1) - 1e-12:
                 raise ValueError(f"ln_n={self.ln_n} implies n <= d+1 for d={self.d}")
+            # log_binomial forms d ln n and _GapIntegrand.t_floor -2 ln n - 100;
+            # with d >= 2 the first overflows first (100 is far below an ulp there)
+            if not math.isfinite(self.d * self.ln_n):
+                raise ValueError(
+                    f"ln_n={self.ln_n} is too large for d={self.d}: d * ln_n overflows a float"
+                )
 
     @classmethod
     def from_log(cls, ln_n: float, d: int) -> "PolytopeParams":

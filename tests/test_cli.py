@@ -234,3 +234,82 @@ class TestEmission:
         code, _, err = run_cli(capsys, "exact", "--n", "3", "--d", "5")
         assert code == 1
         assert "error" in err
+
+
+# Each subcommand with every numeric flag at an edge of its domain (the
+# lower one, or 1 for --h2): a valid command.  A cap itself is not run,
+# since it is sized to take seconds; the walk goes one above it instead.
+_EDGES = {
+    "exact": {"--n": "3", "--d": "2", "--h1": "-1", "--h2": "1", "--cdf-points": "0"},
+    "asym": {"--n": "3", "--d": "2", "--regime": "superfactorial", "--rho": "0",
+             "--r1": "5e-324", "--r2": "5e-324"},
+    "mc": {"--n": "3", "--d": "2", "--replicates": "1", "--seed": "0"},
+    "compare": {"--n": "3", "--d": "2", "--replicates": "1", "--seed": "0", "--rho": "0"},
+    "scan": {"--d": "2", "--n-start": "3", "--n-stop": "3", "--n-step": "1",
+             "--h1": "-1", "--h2": "1", "--rho": "0"},
+    "verify": {"--points": "1", "--seed": "0"},
+}
+# Just outside each declared domain (its lower edge, an upper edge or cap);
+# nan and inf are added to every flag.  --ln-n is a plain float whose domain
+# the library owns (ln 3 < 1.1 for d = 2), so it is walked from inside too.
+_OUTSIDE = {
+    "--n": ["2"], "--d": ["1"], "--n-start": ["2"], "--n-stop": ["2"], "--n-step": ["0"],
+    "--seed": ["-1"], "--replicates": ["0", str(2**32)], "--points": ["0", "200001"],
+    "--cdf-points": ["-1", "20001"], "--rho": ["-5e-324"], "--r1": ["0"], "--r2": ["0"],
+    "--h1": ["-1.0000000000000002", "1.0000000000000002"],
+    "--h2": ["-1.0000000000000002", "1.0000000000000002"],
+    "--ln-n": ["1.1", "1.0"],
+}
+
+
+def _argv(sub, flags):
+    return [sub, *(token for item in flags.items() for token in item), "--format", "json"]
+
+
+def _domain_cases():
+    for sub, edges in _EDGES.items():
+        numeric = [flag for flag in edges if flag in _OUTSIDE]
+        for flag in numeric + (["--ln-n"] if "--n" in edges else []):
+            shape = {k: v for k, v in edges.items() if not (flag == "--ln-n" and k == "--n")}
+            for value in [*_OUTSIDE[flag], "nan", "inf"]:
+                argv = _argv(sub, {**shape, flag: value})
+                yield pytest.param(argv, flag, id=f"{sub} {flag} {value}")
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("sub", _EDGES)
+    def test_edges_are_a_valid_command(self, capsys, sub):
+        code, _, err = run_cli(capsys, *_argv(sub, _EDGES[sub]))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv, flag", _domain_cases())
+    def test_every_numeric_flag_at_its_edges(self, capsys, argv, flag):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if flag != "--ln-n":
+            assert code == 2
+        if code == 2:
+            assert f"argument {flag}: " in err
+        assert "Traceback" not in err
+
+    def test_empty_scan_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--d", "3", "--n-start", "50", "--n-stop", "10"])
+        assert exc.value.code == 2
+        assert "argument --n-stop: must be >= --n-start (50), got 10" in capsys.readouterr().err
+
+    def test_family_and_regime_together_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["asym", "--n", "10", "--d", "3", "--family", "d=3", "--regime", "linear"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_missing_height_window_is_still_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "asym", "--n", "10", "--d", "5",
+                               "--regime", "superfactorial", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["height_window"] is None

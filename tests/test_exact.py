@@ -10,6 +10,8 @@ the classic totals n and 2n - 4.
 """
 
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -28,7 +30,7 @@ from spherefacets import (
     typical_height_cdf,
     typical_height_quantile,
 )
-from spherefacets import quadrature
+from spherefacets import origin_outside_prob, quadrature
 from spherefacets.exact import log_binomial
 from spherefacets.solvers import bisect_root
 
@@ -64,6 +66,19 @@ class TestParams:
         with pytest.raises(ValueError, match="n is too large for a float; give ln_n instead"):
             PolytopeParams(10**400, 3)
         assert PolytopeParams.from_log(math.log(10**400), 3).ln_n == pytest.approx(921.034037)
+
+    def test_rejects_ln_n_whose_derived_terms_overflow(self):
+        # d ln n (log_binomial) overflows first; -2 ln n - 100 (t_floor) stays finite
+        for ln_n in (8e307, 1e308):
+            with pytest.raises(ValueError, match=re.escape(f"ln_n={ln_n} is too large for d=3")):
+                PolytopeParams.from_log(ln_n, 3)
+        edge = sys.float_info.max / 2
+        assert PolytopeParams.from_log(edge, 2).ln_n == edge
+        with pytest.raises(ValueError, match=re.escape("d * ln_n overflows")):
+            PolytopeParams.from_log(math.nextafter(edge, math.inf), 2)
+        for ln_n in (1e300, 4e307):
+            ln_f = expected_facets(PolytopeParams.from_log(ln_n, 3)).ln()
+            assert ln_f / ln_n == pytest.approx(1.0, rel=1e-12)
 
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
@@ -155,6 +170,19 @@ class TestFacetCountOracles:
         for n in (5, 12, 27, 40):
             f = expected_facets(PolytopeParams(n, 3)).to_float()
             assert f == pytest.approx(2 * n - 4, rel=1e-9)
+
+    @pytest.mark.parametrize("n, rel", [
+        *((n, 1e-12) for n in (3, 4, 5, 10, 30, 100, 300, 1000)),
+        (10**4, 1e-11),
+    ])
+    def test_wendel_identity_d2(self, n, rel):
+        # at d = 2 at most one edge separates the origin, so the expected
+        # number of edges below height 0 is P(origin outside) = n 2^(1-n)
+        got = expected_facets(PolytopeParams(n, 2), HeightInterval(-1.0, 0.0)).ln()
+        want = math.log(n) + (1 - n) * math.log(2.0)
+        assert got == pytest.approx(want, rel=rel)
+        if n <= 1000:  # origin_outside_prob underflows to 0 beyond
+            assert got == pytest.approx(math.log(origin_outside_prob(n, 2)), rel=rel)
 
     def test_windowed_counts_d2(self):
         rng = np.random.default_rng(6)
