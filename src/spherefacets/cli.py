@@ -13,9 +13,10 @@ quadrature runs at its one fixed accuracy (relative target 1e-9), which
 Each numeric flag declares its domain as its argparse ``type``:
 
 - ``--n``, ``--n-start``, ``--n-stop``: integers >= 3; ``--d`` >= 2;
-  ``--n-step`` >= 1; ``--seed`` >= 0; ``--replicates`` in [1, 2^32 - 1];
-- ``verify --points`` in [1, 200000] and ``exact --cdf-points`` in
-  [0, 20000], caps at which a command still ends within seconds;
+  ``--n-step`` >= 1; ``--seed`` >= 0;
+- ``mc``/``compare --replicates`` in [1, 1000000], ``verify --points``
+  in [1, 200000] and ``exact --cdf-points`` in [0, 20000], caps at which
+  a command still ends within seconds;
 - ``--r1``, ``--r2``: finite and > 0; ``--rho``: finite and >= 0;
   ``--h1``, ``--h2``: in [-1, 1];
 - ``--ln-n`` is any float: its validity depends on ``--d`` and is the
@@ -80,7 +81,7 @@ def _run_exact(ns) -> dict:
         "rel_tol": quadrature.REL_TOL,
     }
     columns = ["n", "d", "h1", "h2", "ln_facets"]
-    rows = [[n_out, params.d, window.h1, window.h2, count.ln()]]
+    rows = [[n_out, params.d, window.h1, window.h2, count.log_abs]]
     if ns.cdf_points:
         law = exact.TypicalHeightLaw.for_params(params)
         _, heights, cdf = exact.cdf_table(law, ns.cdf_points)
@@ -224,7 +225,7 @@ def _run_scan(ns) -> dict:
     for n in range(ns.n_start, ns.n_stop + 1, ns.n_step):
         params = exact.PolytopeParams(n, ns.d)
         count = exact.expected_facets(params, window)
-        row = [n, ns.d, count.ln(), count.to_float()]
+        row = [n, ns.d, count.log_abs, count.to_float()]
         if spec is not None:
             row.append(asym.facet_count_asymptotic(spec, params).log_count)
         rows.append(row)
@@ -389,7 +390,7 @@ def _add_regime(p, family_help=None):
 
 
 def _add_census(p):
-    p.add_argument("--replicates", type=_integer(1, 2**32 - 1), default=1000)
+    p.add_argument("--replicates", type=_integer(1, 1_000_000), default=1000)
     p.add_argument("--seed", type=_integer(0), default=0)
 
 

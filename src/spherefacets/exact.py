@@ -19,11 +19,16 @@ removes the d = 2 endpoint singularity and makes the log-integrand
 concave in theta.  The integration variable is the gap u = pi/2 - theta
 to the upper endpoint, because the integrand mass can concentrate within
 u ~ exp(-2 ln(n) / d), far below float resolution of theta itself.  Each
-query is one segment: a window spanning less than a factor 2 in the gap
-is integrated linearly in u, with exact edges, and every other window in
-t = ln(u).  The peak is located by golden-section search before
-paneling, magnitudes stay in log scale throughout, and counts are
-returned as LogReal.
+count is one segment, integrated afresh: a window spanning less than a
+factor 2 in the gap is integrated linearly in u, with exact edges, and
+every other window in t = ln(u).  The peak is located by golden-section
+search before paneling, magnitudes stay in log scale throughout, and
+counts are returned as LogReal.
+
+A law integrates once.  ``TypicalHeightLaw`` keeps the converged
+partition of the full range (one segment in t), and every CDF, cap
+statistic, quantile and table query is a slice of that partition,
+refined only where the window needs it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .quadrature import (
     QuadratureError,
     _converged_panels,
     _log_sum,
+    _panel_rows,
     geometric_ladder,
     panel_log_values,
 )
@@ -294,31 +300,15 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
     return _Segment(f_t, t_lo, t_hi, mode, peak)
 
 
-def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
-    """(ln of the integral, segment, converged panels) over the gaps
-    [u_lo, u_hi] of ``_located_segment``; the engine of every height query.
-    The panels are the quadrature's rows (lo, hi, ln value, ln error).
-
-    A segment whose bound cannot move ``reference_ln`` (such as a CDF's
-    normalizer) gets no panels and an integral of zero.  Raises
+def _refined(params: PolytopeParams, f_log, rows, u_lo: float, u_hi: float, t_hi: float):
+    """``_converged_panels`` of the partition ``rows`` over the gaps
+    [u_lo, u_hi] at the quadrature's fixed accuracy.  Raises
     QuadratureError, naming (n or ln n, d), the gaps and the split
-    budget, if the quadrature's fixed accuracy cannot be met.
+    budget, if that accuracy cannot be met.
     """
-    seg = _located_segment(f_u, u_lo, u_hi, t_hi)
-    # no panels for a segment of zero mass, or for one whose peak * width
-    # bound cannot move the reference total at the relative target
-    cut_ln = reference_ln + math.log(quadrature.REL_TOL) - 40.0
-    if seg.peak == _NEG_INF or seg.peak + math.log(seg.hi - seg.lo) < cut_ln:
-        return _NEG_INF, seg, np.empty((0, 4))
     try:
-        panels = _converged_panels(
-            seg.f_log,
-            geometric_ladder(seg.lo, seg.hi, seg.mode),
-            quadrature.REL_TOL,
-            quadrature.MAX_SPLITS,
-        )
+        return _converged_panels(f_log, rows, quadrature.REL_TOL, quadrature.MAX_SPLITS)
     except QuadratureError as err:
-        params = f_u.params
         size = f"n = {params.n:.0f}" if params.n is not None else f"ln n = {params.ln_n!r}"
         upper = f"{u_hi!r}" if u_hi > 0.0 else f"exp({t_hi!r})"
         raise QuadratureError(
@@ -327,6 +317,19 @@ def _integrated_segment(f_u, u_lo, u_hi, t_hi, reference_ln=_NEG_INF) -> tuple:
             err.log_value,
             err.rel_err,
         ) from None
+
+
+def _integrated_segment(f_u, u_lo, u_hi, t_hi) -> tuple:
+    """(ln of the integral, segment, converged panels) over the gaps
+    [u_lo, u_hi] of ``_located_segment``; the engine of every count and
+    of a law's partition.  The panels are the quadrature's rows (lo, hi,
+    ln value, ln error), and a segment of zero mass gets none.
+    """
+    seg = _located_segment(f_u, u_lo, u_hi, t_hi)
+    if seg.peak == _NEG_INF:
+        return _NEG_INF, seg, np.empty((0, 4))
+    ladder = _panel_rows(seg.f_log, geometric_ladder(seg.lo, seg.hi, seg.mode))
+    panels = _refined(f_u.params, seg.f_log, ladder, u_lo, u_hi, t_hi)
     return _log_sum(panels[:, 2]), seg, panels
 
 
@@ -368,9 +371,21 @@ def log_binomial(params: PolytopeParams) -> float:
 
 
 def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
-    """Expected number of facets with height in the window, as a LogReal."""
+    """Expected number of facets with height in the window, as a LogReal.
+
+    A window's count is zero when ln F lies below float range.  The
+    full-range count is at least d + 1, so a zero there raises
+    QuadratureError, naming ln n and d.
+    """
     integral = height_integral(params, window)
     if integral.is_zero():
+        if window == FULL_RANGE:
+            raise QuadratureError(
+                f"the full-range height integral at ln n = {params.ln_n!r}, d = {params.d} "
+                f"came back zero, below any count of at least d + 1 facets",
+                _NEG_INF,
+                math.inf,
+            )
         return LogReal.zero()
     d = params.d
     ln_f = (
@@ -384,7 +399,17 @@ def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE)
 
 @dataclass
 class TypicalHeightLaw:
-    """Height distribution of the typical facet: CDF(h) = J[-1, h] / J[-1, 1]."""
+    """Height distribution of the typical facet: CDF(h) = J[-1, h] / J[-1, 1].
+
+    A law is one partition: the converged panels of the full range, one
+    segment in t = ln(gap), which ``for_params`` keeps from integrating
+    the normalizer (a law built from a normalizer alone integrates it on
+    its first query).  Every query is a slice of that partition: the
+    panels wholly inside the window are reused as they are, the one or
+    two pieces the window cuts at its edges are evaluated fresh, and the
+    slice is refined until its error is within the quadrature's relative
+    target of its own mass.  Refinements are not stored.
+    """
 
     params: PolytopeParams
     normalizer: LogReal
@@ -395,17 +420,43 @@ class TypicalHeightLaw:
 
     @classmethod
     def for_params(cls, params: PolytopeParams) -> "TypicalHeightLaw":
-        return cls(params, height_integral(params))
+        total_ln, seg, panels = _integrated_segment(_GapIntegrand(params), 0.0, math.pi, _LN_PI)
+        law = cls(params, LogReal.from_log(total_ln))
+        law._partition = seg, panels
+        return law
+
+    @functools.cached_property
+    def _partition(self) -> tuple:
+        """(segment, converged panels) of the full range of gaps."""
+        _, seg, panels = _integrated_segment(_GapIntegrand(self.params), 0.0, math.pi, _LN_PI)
+        return seg, panels
 
     def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
-        """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)]."""
+        """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)].
+
+        The window is cut to the partition's span in t = ln(gap); the mass
+        outside it is a factor exp(-750) of the total.  E is unimodal in
+        t, so the window's peak is the segment's when the window holds
+        the mode, else the larger edge value; a window whose peak * width
+        bound cannot move the normalizer at the relative target has zero
+        mass.
+        """
         if u_lo == 0.0 and t_hi >= _LN_PI:
             return 1.0
+        seg, panels = self._partition
+        lo = max(math.log(u_lo), seg.lo) if u_lo > 0.0 else seg.lo
+        hi = min(t_hi, seg.hi)
+        if not lo < hi:
+            return 0.0
         ln_j = self.normalizer.ln()
-        part_ln, _, _ = _integrated_segment(
-            _GapIntegrand(self.params), u_lo, math.exp(t_hi), t_hi, ln_j
-        )
-        return min(math.exp(part_ln - ln_j), 1.0)
+        peak = seg.peak if lo <= seg.mode <= hi else max(seg.f_log(lo), seg.f_log(hi))
+        if peak + math.log(hi - lo) < ln_j + math.log(quadrature.REL_TOL) - 40.0:
+            return 0.0
+        whole = (lo <= panels[:, 0]) & (panels[:, 1] <= hi)
+        cut = panels[~whole & (panels[:, 0] < hi) & (lo < panels[:, 1]), :2].clip(lo, hi)
+        rows = np.vstack([panels[whole], *(_panel_rows(seg.f_log, e) for e in cut.tolist())])
+        part = _refined(self.params, seg.f_log, rows, u_lo, math.exp(t_hi), t_hi)
+        return min(math.exp(_log_sum(part[:, 2]) - ln_j), 1.0)
 
     @functools.cached_property
     def negative_height_mass(self) -> float:
@@ -425,13 +476,14 @@ def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
 
     Newton runs on the angular variable theta = arcsin(h), inside a
     bisection bracket, with the exact density exp(E(pi/2 - theta)) / J as
-    the derivative and the mode of the full-range integrand in ln(gap) as
-    the start; the angular tolerance bounds the height error.
+    the derivative and the mode of the law's partition in ln(gap) as the
+    start; each step's CDF is a slice of the partition.  The angular
+    tolerance bounds the height error.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     f_u = _GapIntegrand(law.params)
-    mode_gap = math.exp(_located_segment(f_u, 0.0, math.pi, _LN_PI).mode)
+    mode_gap = math.exp(law._partition[0].mode)
     theta = newton_bracketed(
         lambda t: law._mass_of_gaps(HALF_PI - t) - p,
         lambda t: math.exp(f_u(HALF_PI - t) - law.normalizer.ln()),
@@ -479,7 +531,7 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     from -pi/2 to pi/2.
 
     Rows are placed in proportion to mass: each converged panel of the
-    full-range quadrature (one segment in ln(gap)) is cut into
+    law's partition (one segment in ln(gap)) is cut into
     1 + floor(num * its share of the mass) cells, so no cell holds more
     than 1/num of it, and the CDF at each row is a prefix sum of the
     cells, as accurate as the quadrature.  The table opens with one
@@ -489,10 +541,9 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     """
     if num < 1:
         raise ValueError(f"cdf_table needs num >= 1 rows, got num={num}")
-    # the full range is one segment in t = ln(gap)
-    total_ln, seg, panels = _integrated_segment(
-        _GapIntegrand(law.params), 0.0, math.pi, _LN_PI
-    )
+    # the law's partition is the full range as one segment in t = ln(gap)
+    seg, panels = law._partition
+    total_ln = _log_sum(panels[:, 2])
     share_ln = total_ln - math.log(num)
     # rows run from the largest gap down, starting with a massless row at pi
     ends, cells = [seg.hi], [_NEG_INF]

@@ -118,22 +118,27 @@ def panel_log_values(f_log, boundaries) -> list:
     return [_eval_panel(f_log, a, b)[0] if b > a else _NEG_INF for a, b in zip(edges, edges[1:])]
 
 
-def _converged_panels(f_log, boundaries, rel_tol: float, max_panels: int) -> np.ndarray:
-    """The paneled interval's partition, rows (lo, hi, ln value, ln error),
-    split until the summed error estimate is within ``rel_tol`` of the
-    summed value.  The row of largest error (lowest index on ties) is
-    replaced by its left half and its right half is appended; one at float
-    resolution is kept as it is.
-    """
+def _panel_rows(f_log, boundaries) -> np.ndarray:
+    """The partition of the paneled interval, one row (lo, hi, ln value,
+    ln error) per panel; raises ValueError unless the edges increase."""
     edges = _checked_edges(boundaries)
     if len(edges) < 2:
         raise ValueError("need at least two panel boundaries")
     if any(b < a for a, b in zip(edges, edges[1:])):
         raise ValueError("panel boundaries must be increasing")
-    panels = np.array(
+    return np.array(
         [(a, b, *_eval_panel(f_log, a, b)) for a, b in zip(edges, edges[1:]) if b > a]
     ).reshape(-1, 4)
 
+
+def _converged_panels(f_log, rows: np.ndarray, rel_tol: float, max_panels: int) -> np.ndarray:
+    """A copy of the partition ``rows`` of ``_panel_rows``, split until the
+    summed error estimate is within ``rel_tol`` of the summed value.  The
+    row of largest error (lowest index on ties) is replaced by its left
+    half and its right half is appended; one at float resolution is kept
+    as it is.
+    """
+    panels = np.array(rows, dtype=float)
     splits = 0
     while True:
         total_val, total_err = _log_sum(panels[:, 2]), _log_sum(panels[:, 3])
@@ -176,5 +181,5 @@ def log_integrate(
     least two entries).  Raises QuadratureError when the split budget runs
     out with the relative error estimate still above ``rel_tol``.
     """
-    panels = _converged_panels(f_log, boundaries, rel_tol, max_panels)
+    panels = _converged_panels(f_log, _panel_rows(f_log, boundaries), rel_tol, max_panels)
     return LogReal.from_log(_log_sum(panels[:, 2]))

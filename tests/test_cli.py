@@ -55,6 +55,23 @@ class TestExact:
         assert "linear" not in report["facets"]
         assert report["facets"]["ln_abs"] > 2000.0
 
+    def test_zero_window_count_is_a_value(self, capsys):
+        # ln F of the window lies below float range: the count is zero
+        code, out, err = run_cli(capsys, "exact", "--ln-n", "2000", "--d", "50",
+                                 "--h1", "-1", "--h2", "-0.5", "--format", "json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["facets"]["sign"] == 0
+        assert report["table"]["rows"][0][-1] == "-inf"
+
+    def test_zero_full_range_count_exits_one_naming_its_inputs(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--ln-n", "2.2471164185778946e307",
+                                 "--d", "4", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "ln n = 2.2471164185778946e+307, d = 4" in err
+        assert "came back zero" in err
+
 
 class TestAsym:
     def test_linear_regime_values(self, capsys):
@@ -123,6 +140,14 @@ class TestScan:
         for row in rows[1:]:
             n, f = int(row[0]), float(row[3])
             assert f == pytest.approx(2 * n - 4, rel=1e-5)
+
+    def test_zero_window_count_is_a_value(self, capsys):
+        n = str(int(1e308))  # ln(n - d) + ln(-ln G) overflows exp below h = -0.5
+        code, out, err = run_cli(capsys, "scan", "--d", "3", "--n-start", n, "--n-stop", n,
+                                 "--h1", "-1", "--h2", "-0.5", "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][1:] == ["3", "-inf", "0.0"]
 
     def test_deterministic(self, capsys):
         args = ("scan", "--d", "4", "--n-start", "8", "--n-stop", "16",
@@ -254,7 +279,7 @@ _EDGES = {
 # the library owns (ln 3 < 1.1 for d = 2), so it is walked from inside too.
 _OUTSIDE = {
     "--n": ["2"], "--d": ["1"], "--n-start": ["2"], "--n-stop": ["2"], "--n-step": ["0"],
-    "--seed": ["-1"], "--replicates": ["0", str(2**32)], "--points": ["0", "200001"],
+    "--seed": ["-1"], "--replicates": ["0", str(2**32), "1000001"], "--points": ["0", "200001"],
     "--cdf-points": ["-1", "20001"], "--rho": ["-5e-324"], "--r1": ["0"], "--r2": ["0"],
     "--h1": ["-1.0000000000000002", "1.0000000000000002"],
     "--h2": ["-1.0000000000000002", "1.0000000000000002"],

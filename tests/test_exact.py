@@ -30,7 +30,7 @@ from spherefacets import (
     typical_height_cdf,
     typical_height_quantile,
 )
-from spherefacets import origin_outside_prob, quadrature
+from spherefacets import exact, origin_outside_prob, quadrature
 from spherefacets.exact import log_binomial
 from spherefacets.solvers import bisect_root
 
@@ -79,6 +79,12 @@ class TestParams:
         for ln_n in (1e300, 4e307):
             ln_f = expected_facets(PolytopeParams.from_log(ln_n, 3)).ln()
             assert ln_f / ln_n == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_full_range_count_raises_naming_its_inputs(self):
+        # a full-range count is at least d + 1, so a zero integral is a failure
+        params = PolytopeParams.from_log(2.2471164185778946e307, 4)
+        with pytest.raises(QuadratureError, match=re.escape("ln n = 2.2471164185778946e+307, d = 4")):
+            expected_facets(params)
 
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
@@ -183,6 +189,18 @@ class TestFacetCountOracles:
         assert got == pytest.approx(want, rel=rel)
         if n <= 1000:  # origin_outside_prob underflows to 0 beyond
             assert got == pytest.approx(math.log(origin_outside_prob(n, 2)), rel=rel)
+
+    @pytest.mark.parametrize("n, d", [
+        (4, 3), (10, 3), (30, 3), (100, 3), (1000, 3), (40, 4), (50, 5),
+        (20, 10), (60, 50), (200, 100), (1000, 500), (2000, 1000),
+    ])
+    def test_wendel_bound(self, n, d):
+        # the origin is outside exactly when some facet lies below height 0,
+        # so P(origin outside) (Wendel, in exact integers) is at most the
+        # expected number of facets below 0
+        got = expected_facets(PolytopeParams(n, d), HeightInterval(-1.0, 0.0)).ln()
+        want = math.log(sum(math.comb(n - 1, k) for k in range(d))) - (n - 1) * math.log(2)
+        assert got >= want
 
     def test_windowed_counts_d2(self):
         rng = np.random.default_rng(6)
@@ -510,3 +528,77 @@ class TestCdfTable:
         law = TypicalHeightLaw.for_params(PolytopeParams(12, 4))
         with pytest.raises(ValueError, match=f"num={num}"):
             cdf_table(law, num)
+
+
+class TestLawPins:
+    """Law values pinned to the engine that integrated every query afresh."""
+
+    def test_deep_lower_tail_cdf(self):
+        law = TypicalHeightLaw.for_params(PolytopeParams(50, 4))
+        assert typical_height_cdf(law, -0.4) == pytest.approx(3.1156212718419827e-27, rel=1e-12)
+        assert typical_height_cdf(law, -0.3) == pytest.approx(8.478341173564213e-23, rel=1e-12)
+        # the window's peak * width bound cannot move the normalizer: zero mass
+        assert typical_height_cdf(law, -0.45) == 0.0
+
+    def test_deep_tails_at_14_5(self):
+        law = TypicalHeightLaw.for_params(PolytopeParams(14, 5))
+        assert typical_height_cdf(law, -0.9) == pytest.approx(1.45317712246932e-25, rel=1e-12)
+        assert gamma_statistic_cdf(law, 1e-6) == pytest.approx(9.804538538979682e-26, rel=1e-12)
+
+    @pytest.mark.parametrize("n, d, want", [
+        (50, 4, (0.4940212360812773, 0.8032497192708776, 0.9665764810424924)),
+        (14, 5, (-0.12555357094584857, 0.4016508247116383, 0.8074688203197242)),
+        (405, 400, (-0.00721736191810754, 0.0004964069886649566, 0.008211209100736833)),
+    ])
+    def test_quantiles(self, n, d, want):
+        law = TypicalHeightLaw.for_params(PolytopeParams(n, d))
+        got = [typical_height_quantile(law, p) for p in (0.001, 0.5, 0.999)]
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+class TestLawPartition:
+    """A law integrates the full range once; every query is a slice of it."""
+
+    @pytest.fixture
+    def counted_law(self, monkeypatch):
+        law = TypicalHeightLaw.for_params(PolytopeParams(50, 4))
+        calls = [0]
+        evaluate = exact._GapIntegrand._at
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        def fail(*args):
+            raise AssertionError("a law query located a segment again")
+
+        monkeypatch.setattr(exact._GapIntegrand, "_at", counted)
+        monkeypatch.setattr(exact, "_located_segment", fail)
+        return law, calls
+
+    def test_every_query_reads_the_partition(self, counted_law):
+        law, _ = counted_law
+        assert 0.0 < typical_height_cdf(law, 0.5) < 1.0
+        assert 0.0 < gamma_statistic_cdf(law, 1.0) < 1.0
+        assert 0.0 <= law.negative_height_mass < 1e-6
+        assert typical_height_quantile(law, 0.5) == pytest.approx(0.8032497192708776, abs=1e-12)
+        _, _, cdf = cdf_table(law, 101)
+        assert cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("h", [0.6, 0.7, 0.8, 0.9])
+    def test_cdf_point_evaluations(self, counted_law, h):
+        law, calls = counted_law
+        typical_height_cdf(law, h)
+        assert calls[0] <= 100, calls[0]
+
+    def test_median_evaluations(self, counted_law):
+        law, calls = counted_law
+        typical_height_quantile(law, 0.5)
+        assert calls[0] <= 500, calls[0]
+
+    def test_law_from_a_normalizer_builds_its_partition(self):
+        params = PolytopeParams(50, 4)
+        law = TypicalHeightLaw(params, height_integral(params))
+        built = TypicalHeightLaw.for_params(params)
+        for h in (-0.3, 0.2, 0.8):
+            assert typical_height_cdf(law, h) == typical_height_cdf(built, h)
