@@ -9,10 +9,10 @@ size rule, a cap on C(n, d) and a memory budget, keeps the O(C(n, d))
 enumeration at desk scale.  A whole stack of replicates is censused at
 once, with the stack on the last axis of every tensor: the subsets'
 systems are gathered straight into the augmented layout of one
-vectorised Gaussian elimination, whose pivots also give each system's
-determinant for the condition guard, and each subset's side test is a
-count of the points below its hyperplane.  A stack's results stay arrays until
-``facet_census`` builds its one summary.
+vectorised, unpivoted Householder QR, whose diagonal of R also gives each
+system's determinant for the condition guard, and each subset's side test
+is a count of the points below its hyperplane.  A stack's results stay
+arrays until ``facet_census`` builds its one summary.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
 attempt), so reports are reproducible and independent of scheduling:
@@ -54,13 +54,13 @@ __all__ = [
 HALFSPACE_TOL = 1e-9
 # a system is usable when cond_2 < CONDITION_LIMIT.  Since
 # cond_2(A) <= ||A||_F^d / |det A|, a bound below CONDITION_LIMIT / 2 (the
-# factor 2 absorbs rounding in the pivots of the census's elimination)
+# factor 2 absorbs rounding in the diagonal of R of the census's QR)
 # certifies a system without an SVD; only systems the bound cannot certify
 # go to the SVD.
 CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
 # a census stack's (R, n, C) side tensor and its R * C systems of d * d floats
-# hold at most this many floats each; the elimination's augmented systems,
+# hold at most this many floats each; the QR's augmented systems,
 # (d, d + 1, R, C), are (d + 1) / d times the latter
 _STACK_FLOATS = 2**16
 # a census enumerates at most this many d-subsets per replicate
@@ -280,33 +280,42 @@ def _solve_ones(aug: np.ndarray) -> tuple:
 
     ``aug`` holds the augmented systems [A | 1] with the stack on the
     trailing axes: shape (d, d + 1, ...), ``aug[i, j]`` being entry (i, j)
-    of every system and ``aug[:, d]`` the ones.  One Gaussian elimination
-    with partial pivoting runs over the whole stack at once, in place, and
-    ln |det A| is the sum of ln |pivot| over the same pivots.  x has shape
+    of every system and ``aug[:, d]`` the ones.  d - 1 Householder
+    reflections run over the whole stack at once, in place, reducing
+    [A | 1] to [R | Q^T 1]; they need no pivoting to be backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 19.3), so there is no pivot search and no row swap.
+    ln |det A| is the sum of ln |r_kk| over the diagonal of R.  x has shape
     (d, ...) and ln |det A| shape (...).  Every step is elementwise along
     the stack, so a system's result does not depend on the others.  A zero
-    pivot gives ln |det A| = -inf or NaN and a non-finite x.
+    column gives ln |det A| = -inf or NaN and a non-finite x.
     """
     d = len(aug)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d - 1):
-            # swap each system's largest remaining |a_ik| into row k
-            pivot_row = k + np.argmax(np.abs(aug[k:, k]), axis=0)
-            top = aug[k, k:]
-            for i in range(k + 1, d):
-                swap = pivot_row == i
-                row = aug[i, k:]
-                aug[i, k:], top = np.where(swap, top, row), np.where(swap, row, top)
-            aug[k, k:] = top
-            factors = aug[k + 1 :, k] / aug[k, k]
-            aug[k + 1 :, k + 1 :] -= factors[:, None] * aug[k, k + 1 :]
-        pivots = aug[np.arange(d), np.arange(d)]  # (d, ...)
-        logdet = np.log(np.abs(pivots)).sum(axis=0)
+            # the reflector of LAPACK's dlarfg, normalized so that v[0] = 1
+            col, rest = aug[k:, k], aug[k:, k + 1 :]
+            sumsq = np.einsum("i...,i...->...", col, col)
+            norm = np.sqrt(sumsq)
+            # a sum of squares that overflows or leaves the normal range
+            # loses the norm: recompute it by hypot, for those systems only
+            lost = ~((sumsq >= tiny) & (sumsq <= huge))
+            if lost.any():
+                norm[lost] = np.hypot.reduce(col[:, lost], axis=0)
+            beta = -np.copysign(norm, col[0])
+            v = col / (col[0] - beta)
+            v[0] = 1.0
+            tau = (beta - col[0]) / beta
+            rest -= v[:, None] * (tau * np.einsum("i...,ij...->j...", v, rest))
+            aug[k, k] = beta
+        diagonal = aug[np.arange(d), np.arange(d)]  # (d, ...)
+        logdet = np.log(np.abs(diagonal)).sum(axis=0)
         x = aug[:, d]
         for k in reversed(range(d)):
             for j in range(k + 1, d):
                 x[k] -= aug[k, j] * x[j]
-            x[k] /= pivots[k]
+            x[k] /= diagonal[k]
     return x, logdet
 
 
@@ -370,14 +379,14 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
         side -= heights[:, None, :]
     # positions in a flattened (n, C) array of each subset's own points
     vertex_at = subsets.T * count + np.arange(count)
-    off_plane = np.ones(n * count, dtype=bool)
-    off_plane[vertex_at] = False
-    off_plane = off_plane.reshape(n, count)
-    residual = np.abs(np.take(side.reshape(stack, -1), vertex_at, axis=1)).max(axis=1)
+    flat = side.reshape(stack, -1)
+    residual = np.abs(np.take(flat, vertex_at, axis=1)).max(axis=1)
+    # a subset's own points, read: 1.0 is neither below the plane nor a tie
+    flat[:, vertex_at] = 1.0
     solved = usable & (residual <= VERTEX_RESIDUAL_TOL)
-    negative = ((side < 0.0) & off_plane).sum(axis=1)
+    negative = (side < 0.0).sum(axis=1)
     dist = np.abs(side, out=side)  # the signs are counted: reuse side's memory
-    tied = (solved & ((dist < HALFSPACE_TOL) & off_plane).any(axis=1)).any(axis=1)
+    tied = (solved & (dist < HALFSPACE_TOL).any(axis=1)).any(axis=1)
     # in an untied replicate every non-vertex point of a solved system lies
     # at least HALFSPACE_TOL off the plane, so its sign decides its side
     below = solved & (negative == n - d)
@@ -417,11 +426,11 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     above ``CONDITION_LIMIT``, or whose solution misses a vertex by more
     than ``VERTEX_RESIDUAL_TOL``, are skipped and tallied; any remaining
     point within ``HALFSPACE_TOL`` of the plane raises
-    DegenerateSampleError.  One Gaussian elimination with partial
-    pivoting gives each system's solution and ln |det A| from the same
-    pivots.  The condition test uses the bound
+    DegenerateSampleError.  One unpivoted Householder QR gives each
+    system's solution and ln |det A|, the latter from the diagonal of R.
+    The condition test uses the bound
     cond_2(A) <= ||A||_F^d / |det A|: a bound below CONDITION_LIMIT / 2
-    (the factor 2 covers rounding in the elimination) accepts a system,
+    (the factor 2 covers rounding in the QR) accepts a system,
     and an SVD decides only the systems the bound cannot accept, so the
     skipped systems are exactly those of the SVD rule.  A subset spans a
     facet when none or all of the remaining points lie below its plane;

@@ -341,6 +341,38 @@ class TestElimination:
             np.testing.assert_allclose(x, want, rtol=1e-12)
             np.testing.assert_allclose(logdet, want_logdet, rtol=1e-12)
 
+    def test_huge_scale(self):
+        """At 1e170 a column's sum of squares overflows, so its norm comes
+        from hypot; the solutions are about 1e-170 and ln |det| about
+        391 d, and both match LAPACK."""
+        rng = np.random.default_rng(8)
+        for d in (2, 4, 6):
+            mats = _systems(rng, d, 10.0, 20) * 1e170
+            assert np.isinf(np.einsum("kij,kij->k", mats, mats)).all()
+            x, logdet = _solve(mats)
+            want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
+            _, want_logdet = np.linalg.slogdet(mats)
+            assert np.isfinite(x).all()
+            np.testing.assert_allclose(x, want, rtol=1e-12)
+            np.testing.assert_allclose(logdet, want_logdet, rtol=1e-12)
+
+    def test_rescaled_system_leaves_its_stack_alone(self):
+        """One 1e-170 system among 50 unit-scale ones takes the hypot norm
+        alone: it matches LAPACK, and every unit-scale system is
+        bit-identical to solving it alone."""
+        rng = np.random.default_rng(9)
+        for d in (2, 3, 5):
+            mats = _systems(rng, d, 10.0, 50)
+            mats = np.concatenate([mats[:20], _systems(rng, d, 10.0, 2)[:1] * 1e-170, mats[20:]])
+            x_all, logdet_all = _solve(mats)
+            want = np.linalg.solve(mats[20], np.ones(d))
+            np.testing.assert_allclose(x_all[20], want, rtol=1e-12)
+            np.testing.assert_allclose(logdet_all[20], np.linalg.slogdet(mats[20])[1], rtol=1e-12)
+            for i in np.r_[0:20, 21:51]:
+                x, logdet = _solve(mats[i : i + 1])
+                assert np.array_equal(x[0], x_all[i])
+                assert np.array_equal(logdet[0], logdet_all[i])
+
     def test_system_independent_of_its_stack(self):
         """A system solved alone and inside a stack of 100 others gives
         bit-identical results, so a replicate's census does not depend on
@@ -455,6 +487,71 @@ class TestSideRule:
                 assert np.array_equal(alone[4], own[r])
 
 
+def _pivoted_solve_ones(aug):
+    """``_solve_ones`` by Gaussian elimination with partial pivoting, in the
+    same (d, d + 1, ...) layout: an oracle for the census's Householder QR.
+    ln |det A| is the sum of ln |pivot|."""
+    d = len(aug)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(d - 1):
+            # swap each system's largest remaining |a_ik| into row k
+            pivot_row = k + np.argmax(np.abs(aug[k:, k]), axis=0)
+            top = aug[k, k:]
+            for i in range(k + 1, d):
+                swap = pivot_row == i
+                row = aug[i, k:]
+                aug[i, k:], top = np.where(swap, top, row), np.where(swap, row, top)
+            aug[k, k:] = top
+            factors = aug[k + 1 :, k] / aug[k, k]
+            aug[k + 1 :, k + 1 :] -= factors[:, None] * aug[k, k + 1 :]
+        pivots = aug[np.arange(d), np.arange(d)]
+        logdet = np.log(np.abs(pivots)).sum(axis=0)
+        x = aug[:, d]
+        for k in reversed(range(d)):
+            for j in range(k + 1, d):
+                x[k] -= aug[k, j] * x[j]
+            x[k] /= pivots[k]
+    return x, logdet
+
+
+class TestPivotedOracle:
+    """The census on its QR and on partial-pivot elimination finds the same
+    ties, facet counts and skipped systems, with heights within 1e-13."""
+
+    def _agree(self, points, monkeypatch):
+        subsets = montecarlo._subset_array(*points.shape[1:])
+        tied, counts, min_heights, skipped, heights, _ = montecarlo._census(
+            points, subsets, False
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_solve_ones", _pivoted_solve_ones)
+            want = montecarlo._census(points, subsets, False)
+        assert np.array_equal(tied, want[0])
+        assert np.array_equal(counts, want[1])
+        assert np.array_equal(skipped, want[3])
+        np.testing.assert_allclose(min_heights, want[2], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(heights, want[4], rtol=0.0, atol=1e-13)
+        return int(tied.sum()), int(skipped.sum())
+
+    @pytest.mark.parametrize("shape", TestSideRule.SHAPES, ids=lambda s: f"{s[0]}_{s[1]}")
+    def test_sphere_stacks(self, shape, monkeypatch):
+        n, d, stack = shape
+        points = np.stack([sample_sphere(n, d, _stream(5, r, 0)) for r in range(stack)])
+        assert self._agree(points, monkeypatch) == (0, 0)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-11])
+    def test_rounded_stacks(self, jitter, monkeypatch):
+        ties = skips = 0
+        for n, d, stack in TestSideRule.SHAPES:
+            for decimals in (1, 2):
+                tied, skipped = self._agree(
+                    _rounded_stack(n, d, 3 * stack, 9, decimals, jitter), monkeypatch
+                )
+                ties += tied
+                skips += skipped
+        assert ties > 0 and skips > 0
+
+
 # reports of the benchmark's four shapes, each at the seed of its first
 # call, as computed with LAPACK's solve and slogdet: (n, d, replicates,
 # seed) -> facet counts (one value where every replicate has it),
@@ -560,6 +657,25 @@ class TestEnsemble:
         se = math.sqrt(want * (1 - want) / n_pool) * 3.0
         # pooled heights are weakly dependent within replicates; allow 2x
         assert abs(report.negative_height_fraction - want) < 2.0 * se + 0.01
+
+    @pytest.mark.parametrize(
+        "n, d, seed, levels",
+        [(15, 3, 13, (0.06, 0.18, 0.32, 0.44)), (12, 4, 14, (-0.20, -0.07, 0.05, 0.17))],
+        ids=["15_3", "12_4"],
+    )
+    def test_min_height_below_first_moment(self, n, d, seed, levels):
+        """A minimum height at or below h needs a facet there, so
+        P(min height <= h) <= E[#facets below h], the exact count of the
+        window [-1, h]; checked at 3 standard errors at levels near the
+        1/5/20/50% quantiles of the minimum, where the ratio measured
+        0.23-0.50 (low facets come in clusters)."""
+        params = PolytopeParams(n, d)
+        report = estimate(EnsembleSpec(params, replicates=2000, seed=seed))
+        for h in levels:
+            p = float(np.mean(report.min_heights <= h))
+            se = math.sqrt(p * (1.0 - p) / len(report.min_heights))
+            bound = expected_facets(params, HeightInterval(-1.0, h)).to_float()
+            assert 0.0 < p <= bound + 3.0 * se, (h, p, bound)
 
     def test_stacks_keep_replicate_streams(self):
         """(12, 4) censuses 8 replicates per stack, so 20 cross stack
