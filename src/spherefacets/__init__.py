@@ -16,7 +16,6 @@ from .numerics import (
     log_reg_inc_beta,
     norm_cdf,
     random_bounds_grid,
-    reg_inc_beta,
     scaled_beta_cdf,
 )
 from .quadrature import QuadratureError

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .exact import PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
-from .numerics import _log_gamma_half_ratio, log_norm_cdf, norm_pdf
+from .numerics import LOG_SQRT_2PI, _log_gamma_half_ratio, log_norm_cdf
 from .solvers import bisect_root, newton_bracketed
 
 __all__ = [
@@ -70,7 +70,8 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# bracket width at which the rate solvers stop
+# bracket width at which the rate solvers stop: in ln r for the argmax,
+# in units of the peak-to-root width for the roots
 _XTOL = 1e-12
 
 
@@ -240,60 +241,87 @@ def height_rate(rho: float, r: float) -> float:
     return rho * log_norm_cdf(r) - 0.5 * r * r
 
 
+def _log_mills(r: float) -> float:
+    """ln(phi(r) / Phi(r)), with ln phi written out so it never underflows."""
+    return -0.5 * r * r - LOG_SQRT_2PI - log_norm_cdf(r)
+
+
 def height_rate_prime(rho: float, r: float) -> float:
-    return rho * math.exp(math.log(norm_pdf(r)) - log_norm_cdf(r)) - r
+    return rho * math.exp(_log_mills(r)) - r
 
 
 def height_rate_second(rho: float, r: float) -> float:
-    ratio = math.exp(math.log(norm_pdf(r)) - log_norm_cdf(r))
+    ratio = math.exp(_log_mills(r))
     return -rho * ratio * (r + ratio) - 1.0
+
+
+def _entropy(rho: float) -> float:
+    """(rho+1) ln(rho+1) - rho ln rho, as two positive terms that do not cancel."""
+    if rho >= 1.0:
+        return math.log1p(rho) + rho * math.log1p(1.0 / rho)
+    return (1.0 + rho) * math.log1p(rho) - rho * math.log(rho)
 
 
 def count_rate(rho: float, r: float) -> float:
     """Exponential growth rate (per unit dimension) of facets below r/sqrt(d)."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    entropy = (rho + 1.0) * math.log(rho + 1.0) - rho * math.log(rho)
-    return entropy + height_rate(rho, r)
+    return _entropy(rho) + height_rate(rho, r)
 
 
 def rate_argmax(rho: float) -> float:
     """The unique positive maximizer of the height rate.
 
-    The rate is strictly increasing left of zero and strictly concave on
-    the right, so its derivative has exactly one root in (0, inf); the
-    bracket grows geometrically until the derivative turns negative.
+    The maximizer solves rho phi(r) / Phi(r) = r.  In x = ln r the residual
+    ln rho + ln(phi/Phi)(r) - x strictly decreases, with derivative
+    -r (r + phi/Phi) - 1, and it changes sign on
+    [min(ln rho - 1.23, -1), ln(2 + sqrt(2 max(ln rho, 0)))], so bracketed
+    Newton in x finds r to relative precision for every normal float
+    rho > 0.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    slope = functools.partial(height_rate_prime, rho)
-    hi = _first_negative(slope, 0.0, 1.0, "rate maximum", rho)
-    return newton_bracketed(
-        slope, functools.partial(height_rate_second, rho), 0.0, hi, xtol=_XTOL
-    )
+    ln_rho = math.log(rho)
+
+    def residual(x):
+        r = math.exp(x)
+        return ln_rho + _log_mills(r) - x
+
+    def slope(x):
+        r = math.exp(x)
+        return -r * (r + math.exp(_log_mills(r))) - 1.0
+
+    lo = min(ln_rho - 1.23, -1.0)
+    hi = math.log(2.0 + math.sqrt(2.0 * max(ln_rho, 0.0)))
+    # |slope| grows with r: this tolerance in x keeps |residual| < _XTOL
+    xtol = _XTOL / -slope(hi)
+    return math.exp(newton_bracketed(residual, slope, lo, hi, xtol=xtol))
 
 
 def count_rate_roots(rho: float) -> tuple:
     """Zero crossings (r_low, r_high) of the count rate around its maximum.
 
-    The maximum value is positive for every rho > 0 and the rate falls to
-    -inf on both sides, so both roots exist; brackets expand geometrically
-    from the argmax.
+    The maximum value g* is positive for every rho > 0, and the rate is
+    concave with second derivative at most -1, so both roots lie within
+    w = sqrt(2 g*) of the argmax.  They are resolved to _XTOL * w, a
+    tolerance relative to their distance from the peak.
     """
     peak = rate_argmax(rho)
-    if not count_rate(rho, peak) > 0.0:
+    top = count_rate(rho, peak)
+    if not top > 0.0:
         raise ArithmeticError(f"count rate is not positive at its peak for rho={rho}")
     rate = functools.partial(count_rate, rho)
-    hi = _first_negative(rate, peak, 1.0, "upper root", rho)
-    lo = _first_negative(rate, peak, -1.0, "lower root", rho)
-    return bisect_root(rate, lo, peak, xtol=_XTOL), bisect_root(rate, peak, hi, xtol=_XTOL)
+    width = math.sqrt(2.0 * top)
+    hi = _first_negative(rate, peak, width, "upper root", rho)
+    lo = _first_negative(rate, peak, -width, "lower root", rho)
+    xtol = _XTOL * width
+    return bisect_root(rate, lo, peak, xtol=xtol), bisect_root(rate, peak, hi, xtol=xtol)
 
 
-def _first_negative(f, origin: float, direction: float, what: str, rho: float) -> float:
-    """origin + direction * 2^k at the first k = 0, 1, ..., 199 where f < 0."""
-    step = 1.0
+def _first_negative(f, origin: float, step: float, what: str, rho: float) -> float:
+    """origin + step * 2^k at the first k = 0, 1, ..., 199 where f < 0."""
     for _ in range(200):
-        x = origin + direction * step
+        x = origin + step
         if f(x) < 0.0:
             return x
         step *= 2.0

@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "norm_pdf",
     "norm_cdf",
     "log_norm_cdf",
-    "reg_inc_beta",
     "log_reg_inc_beta",
     "log_c_alpha",
     "gauss_beta_norm",
@@ -63,10 +61,6 @@ class ConvergenceError(ArithmeticError):
 # normal distribution
 # ----------------------------------------------------------------------
 
-def norm_pdf(h: float) -> float:
-    return math.exp(-0.5 * h * h - LOG_SQRT_2PI)
-
-
 def norm_cdf(h: float) -> float:
     """Standard normal CDF via the complementary error function."""
     if math.isnan(h):
@@ -75,14 +69,18 @@ def norm_cdf(h: float) -> float:
 
 
 def log_norm_cdf(h: float) -> float:
-    """ln Phi(h), accurate far into the left tail.
+    """ln Phi(h) to relative precision on both sides.
 
-    erfc carries the value down to h ~ -37 where its linear result
-    underflows; below that the classical tail expansion
-    phi(h)/|h| * (1 - 1/h^2 + 3/h^4 - ...) takes over.
+    For h > 0 it is log1p(-Q) with the upper tail Q from erfc, so it keeps
+    its digits where Phi rounds to 1.  On the left, erfc carries the value
+    down to h ~ -37 where its linear result underflows; below that the
+    classical tail expansion phi(h)/|h| * (1 - 1/h^2 + 3/h^4 - ...) takes
+    over.
     """
     if math.isnan(h):
         raise ValueError("log_norm_cdf requires a finite argument")
+    if h > 0.0:
+        return math.log1p(-0.5 * math.erfc(h * _INV_SQRT2))
     if h > -36.0:
         return math.log(0.5 * math.erfc(-h * _INV_SQRT2))
     inv_h2 = 1.0 / (h * h)
@@ -216,11 +214,6 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> float:
         return math.log(0.5)
     log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return _log_inc_beta(a, b, math.log(x), math.log1p(-x), log_beta)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) in linear scale."""
-    return math.exp(log_reg_inc_beta(x, a, b))
 
 
 # ----------------------------------------------------------------------

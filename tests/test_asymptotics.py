@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from spherefacets import (
     AmbiguousFamilyError,
     GrowthFamily,
+    HeightInterval,
     PolytopeParams,
     Regime,
     RegimeSpec,
@@ -149,6 +151,37 @@ class TestRateFunctions:
         root = bisect_root(lambda r: count_rate(r, 0.0), 2.0, 5.0, xtol=1e-10)
         assert root == pytest.approx(3.4, abs=0.05)
 
+    def test_argmax_and_roots_at_every_decade(self):
+        """rho phi(r) / Phi(r) = r at the argmax (mpmath), and the roots
+        bracket it, from rho = 1e-300 to 1e300."""
+        with mpmath.workdps(40):
+            for e in range(-300, 301):
+                rho = 10.0**e
+                r = rate_argmax(rho)
+                stationary = mpmath.mpf(rho) * mpmath.npdf(r) / mpmath.ncdf(r) / r
+                assert abs(float(stationary - 1)) <= 1e-12, rho
+                top = count_rate(rho, r)
+                assert top > 0.0, rho
+                lo, hi = count_rate_roots(rho)
+                assert lo < r < hi, rho
+                assert abs(count_rate(rho, lo)) <= 1e-9 * top, rho
+                assert abs(count_rate(rho, hi)) <= 1e-9 * top, rho
+
+    @pytest.mark.parametrize(
+        "rho", [1e-300, 1e-12, 1e-3, 0.5, 2.0, 1e8, 1e12, 1e16, 1e20, 1e100, 1e300]
+    )
+    def test_peak_rate_against_mpmath(self, rho):
+        """(rho+1) ln(rho+1) - rho ln rho + rho ln Phi(r) - r^2/2 at the
+        argmax, in enough digits that the entropy term does not cancel."""
+        r = rate_argmax(rho)
+        with mpmath.workdps(700):
+            big = mpmath.mpf(rho)
+            want = float(
+                (big + 1) * mpmath.log(big + 1) - big * mpmath.log(big)
+                + big * mpmath.log(mpmath.ncdf(r)) - mpmath.mpf(r) ** 2 / 2
+            )
+        assert count_rate(rho, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestConstants:
     def test_low_dimension_values(self):
@@ -229,6 +262,21 @@ class TestHeightScales:
             h1, h2 = height_window(p)
             errs.append(max(abs(h1 / lim - 1.0), abs(h2 / lim - 1.0)))
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("d", [10, 20])
+    def test_window_first_moments(self, d):
+        """Some facet outside [h1, h2] has probability at most the expected
+        number of facets above h2 plus those below h1; each tail is tiny and
+        falls along ln n.  (At d = 3 and 5, h2 rounds to 1.0.)"""
+        above, below = [], []
+        for ln_n in (10.0, 20.0, 40.0, 80.0):
+            p = PolytopeParams.from_log(ln_n, d)
+            h1, h2 = height_window(p)
+            above.append(expected_facets(p, HeightInterval(h2, 1.0)).ln())
+            below.append(expected_facets(p, HeightInterval(-1.0, h1)).ln())
+        for tail in (above, below):
+            assert max(tail) < math.log(1e-6)
+            assert all(b < a for a, b in zip(tail, tail[1:]))
 
     def test_window_superfactorial_limit(self):
         """d fixed, n -> inf: 1 - h^2 shrinks like n^(-2/(d-1))."""
@@ -376,6 +424,26 @@ class TestHausdorff:
         est = hausdorff_asymptotic(spec, p)
         assert est.limit == 0.0
         assert est.approx == pytest.approx(0.5 * math.exp(-2 * p.ln_n / 49), rel=1e-12)
+
+    @pytest.mark.parametrize("d, ns", [(3, (10**3, 10**4, 10**6, 10**8)), (4, (10**4, 10**6))])
+    def test_first_moment_threshold_falls_to_fixed_d_value(self, d, ns):
+        """P(d_H >= delta) <= E[#facets below 1 - delta].  The delta* where
+        that expectation is 1 lies above c_d (ln n / n)^(2/(d-1)) and
+        approaches it as n grows."""
+        spec = classify(parse_family(f"d={d}"))
+        ratios = []
+        for n in ns:
+            p = PolytopeParams(n, d)
+            approx = hausdorff_asymptotic(spec, p).approx
+
+            def ln_count(ln_delta):
+                return expected_facets(p, HeightInterval(-1.0, -math.expm1(ln_delta))).ln()
+
+            # the bracket starts at approx, so a root in it is a ratio of at least 1
+            ln_star = bisect_root(ln_count, math.log(approx), math.log(2.0 * approx), xtol=1e-2)
+            ratios.append(math.exp(ln_star) / approx)
+        assert ratios[-1] > 1.0
+        assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
     def test_fixed_dimension_constant(self):
         spec = classify(parse_family("d=3"))

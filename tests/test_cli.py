@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spherefacets
 from spherefacets import (
     PolytopeParams,
     classify,
@@ -82,6 +86,13 @@ class TestAsym:
         from spherefacets import count_rate, rate_argmax
         want = 500 * count_rate(1.0, rate_argmax(1.0))
         assert report["ln_facets"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", ["1e-100", "1e20", "1e250"])
+    def test_linear_regime_at_extreme_rho(self, capsys, rho):
+        code, out, _ = run_cli(capsys, "asym", "--regime", "linear", "--rho", rho,
+                               "--d", "500", "--n", "1000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ln_facets"] > 0.0
 
     def test_family_string(self, capsys):
         code, out, _ = run_cli(capsys, "asym", "--family", "d=3", "--n", "1000000",
@@ -338,3 +349,16 @@ class TestFlagDomains:
                                "--regime", "superfactorial", "--format", "json")
         assert code == 0
         assert json.loads(out)["height_window"] is None
+
+
+def test_import_leaves_optional_modules_unloaded():
+    """Importing the CLI must not pull in numpy.random, mpmath or scipy."""
+    src = os.path.dirname(os.path.dirname(spherefacets.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = (
+        "import sys, spherefacets.cli; "
+        "print([m for m in sys.modules if m.startswith(('numpy.random', 'mpmath', 'scipy'))])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

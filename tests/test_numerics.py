@@ -21,7 +21,6 @@ from spherefacets import (
     log_reg_inc_beta,
     norm_cdf,
     random_bounds_grid,
-    reg_inc_beta,
     scaled_beta_cdf,
 )
 from spherefacets.numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
@@ -85,6 +84,14 @@ class TestNormCdf:
             want = float(mpmath.log(mpmath.ncdf(h)))
             assert log_norm_cdf(h) == pytest.approx(want, rel=1e-11)
 
+    def test_right_tail_against_mpmath(self):
+        # ln Phi(h) ~ -Q(h) keeps its digits while Phi itself rounds to 1;
+        # the oracle carries Q(37) ~ 6e-300 in 1 - Q
+        with mpmath.workdps(350):
+            for h in (0.5, 5.0, 8.0, 8.3, 12.0, 20.0, 37.0):
+                want = float(mpmath.log(mpmath.ncdf(h)))
+                assert log_norm_cdf(h) == pytest.approx(want, rel=1e-12, abs=0.0), h
+
     def test_no_underflow_down_to_minus_300(self):
         val = log_norm_cdf(-300.0)
         assert math.isfinite(val)
@@ -98,23 +105,26 @@ class TestNormCdf:
 
 class TestRegIncBeta:
     def test_boundaries(self):
-        assert reg_inc_beta(0.0, 2.5, 3.5) == 0.0
-        assert reg_inc_beta(1.0, 2.5, 3.5) == 1.0
+        assert math.exp(log_reg_inc_beta(0.0, 2.5, 3.5)) == 0.0
+        assert math.exp(log_reg_inc_beta(1.0, 2.5, 3.5)) == 1.0
 
     def test_symmetric_midpoint(self):
         for a in (0.5, 1.0, 7.5, 199.5):
-            assert reg_inc_beta(0.5, a, a) == 0.5
+            assert math.exp(log_reg_inc_beta(0.5, a, a)) == 0.5
 
     def test_uniform_case(self):
         for x in np.linspace(0.05, 0.95, 10):
-            assert reg_inc_beta(float(x), 1.0, 1.0) == pytest.approx(float(x), rel=1e-13)
+            got = math.exp(log_reg_inc_beta(float(x), 1.0, 1.0))
+            assert got == pytest.approx(float(x), rel=1e-13)
 
     def test_complement_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             a, b = rng.uniform(0.2, 50.0, 2)
             x = rng.uniform(0.0, 1.0)
-            total = reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a)
+            total = math.exp(log_reg_inc_beta(x, a, b)) + math.exp(
+                log_reg_inc_beta(1.0 - x, b, a)
+            )
             assert abs(total - 1.0) <= 1e-14
 
     def test_against_quadrature_oracle(self):
@@ -128,7 +138,7 @@ class TestRegIncBeta:
             integrand = t ** (a - 1) * (1.0 - t) ** (b - 1)
             raw = 0.5 * x * float(np.dot(weights, integrand))
             want = raw * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-            assert reg_inc_beta(float(x), float(a), float(b)) == pytest.approx(
+            assert math.exp(log_reg_inc_beta(float(x), float(a), float(b))) == pytest.approx(
                 want, rel=1e-9
             )
 
@@ -163,16 +173,16 @@ class TestRegIncBeta:
     def test_complement_accurate_near_one(self):
         # 1 - I_x at x = 1 - 1e-12 would cancel to noise in linear arithmetic
         a = 5.0
-        comp = reg_inc_beta(1.0 - (1.0 - 1e-12), a, a)
+        comp = math.exp(log_reg_inc_beta(1.0 - (1.0 - 1e-12), a, a))
         mpmath.mp.dps = 50
         want = float(mpmath.betainc(a, a, 1.0 - 1e-12, 1, regularized=True))
         assert comp == pytest.approx(want, rel=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            reg_inc_beta(1.5, 1.0, 1.0)
+            log_reg_inc_beta(1.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            reg_inc_beta(0.5, -1.0, 1.0)
+            log_reg_inc_beta(0.5, -1.0, 1.0)
 
 
 class TestCAlpha:
