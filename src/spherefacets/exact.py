@@ -43,14 +43,7 @@ import numpy as np
 from . import quadrature
 from .logreal import LogReal
 from .numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
-from .quadrature import (
-    QuadratureError,
-    _converged_panels,
-    _log_sum,
-    _panel_rows,
-    geometric_ladder,
-    panel_log_values,
-)
+from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
 __all__ = [
@@ -300,37 +293,30 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
     return _Segment(f_t, t_lo, t_hi, mode, peak)
 
 
-def _refined(params: PolytopeParams, f_log, rows, u_lo: float, u_hi: float, t_hi: float):
-    """``_converged_panels`` of the partition ``rows`` over the gaps
-    [u_lo, u_hi] at the quadrature's fixed accuracy.  Raises
-    QuadratureError, naming (n or ln n, d), the gaps and the split
-    budget, if that accuracy cannot be met.
-    """
-    try:
-        return _converged_panels(f_log, rows, quadrature.REL_TOL, quadrature.MAX_SPLITS)
-    except QuadratureError as err:
-        size = f"n = {params.n:.0f}" if params.n is not None else f"ln n = {params.ln_n!r}"
-        upper = f"{u_hi!r}" if u_hi > 0.0 else f"exp({t_hi!r})"
-        raise QuadratureError(
-            f"height integral at {size}, d = {params.d} over the gaps [{u_lo!r}, {upper}] "
-            f"did not converge within {quadrature.MAX_SPLITS} panel splits",
-            err.log_value,
-            err.rel_err,
-        ) from None
+def _integral_name(params: PolytopeParams, u_lo: float, u_hi: float, t_hi: float) -> str:
+    """The height integral over the gaps [u_lo, u_hi], named by (n or ln n,
+    d) and its gaps for a QuadratureError; t_hi is ln(u_hi)."""
+    size = f"n = {params.n:.0f}" if params.n is not None else f"ln n = {params.ln_n!r}"
+    upper = f"{u_hi!r}" if u_hi > 0.0 else f"exp({t_hi!r})"
+    return f"height integral at {size}, d = {params.d} over the gaps [{u_lo!r}, {upper}]"
 
 
 def _integrated_segment(f_u, u_lo, u_hi, t_hi) -> tuple:
-    """(ln of the integral, segment, converged panels) over the gaps
+    """(ln of the integral, segment, converged partition) over the gaps
     [u_lo, u_hi] of ``_located_segment``; the engine of every count and
-    of a law's partition.  The panels are the quadrature's rows (lo, hi,
-    ln value, ln error), and a segment of zero mass gets none.
+    of a law's partition.  A segment of zero mass gets no partition.
     """
     seg = _located_segment(f_u, u_lo, u_hi, t_hi)
     if seg.peak == _NEG_INF:
-        return _NEG_INF, seg, np.empty((0, 4))
-    ladder = _panel_rows(seg.f_log, geometric_ladder(seg.lo, seg.hi, seg.mode))
-    panels = _refined(f_u.params, seg.f_log, ladder, u_lo, u_hi, t_hi)
-    return _log_sum(panels[:, 2]), seg, panels
+        return _NEG_INF, seg, None
+    ladder = geometric_ladder(seg.lo, seg.hi, seg.mode)
+    part = quadrature._partition(seg.f_log, ladder, _integral_name(f_u.params, u_lo, u_hi, t_hi))
+    return quadrature._ln_total(part), seg, part
+
+
+def _full_range(params: PolytopeParams) -> tuple:
+    """``_integrated_segment`` of the full range of gaps, one segment in t."""
+    return _integrated_segment(_GapIntegrand(params), 0.0, math.pi, _LN_PI)
 
 
 def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
@@ -420,16 +406,15 @@ class TypicalHeightLaw:
 
     @classmethod
     def for_params(cls, params: PolytopeParams) -> "TypicalHeightLaw":
-        total_ln, seg, panels = _integrated_segment(_GapIntegrand(params), 0.0, math.pi, _LN_PI)
+        total_ln, *partition = _full_range(params)
         law = cls(params, LogReal.from_log(total_ln))
-        law._partition = seg, panels
+        law._partition = tuple(partition)
         return law
 
     @functools.cached_property
     def _partition(self) -> tuple:
-        """(segment, converged panels) of the full range of gaps."""
-        _, seg, panels = _integrated_segment(_GapIntegrand(self.params), 0.0, math.pi, _LN_PI)
-        return seg, panels
+        """(segment, converged partition) of the full range of gaps."""
+        return _full_range(self.params)[1:]
 
     def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
         """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)].
@@ -443,7 +428,7 @@ class TypicalHeightLaw:
         """
         if u_lo == 0.0 and t_hi >= _LN_PI:
             return 1.0
-        seg, panels = self._partition
+        seg, part = self._partition
         lo = max(math.log(u_lo), seg.lo) if u_lo > 0.0 else seg.lo
         hi = min(t_hi, seg.hi)
         if not lo < hi:
@@ -452,11 +437,9 @@ class TypicalHeightLaw:
         peak = seg.peak if lo <= seg.mode <= hi else max(seg.f_log(lo), seg.f_log(hi))
         if peak + math.log(hi - lo) < ln_j + math.log(quadrature.REL_TOL) - 40.0:
             return 0.0
-        whole = (lo <= panels[:, 0]) & (panels[:, 1] <= hi)
-        cut = panels[~whole & (panels[:, 0] < hi) & (lo < panels[:, 1]), :2].clip(lo, hi)
-        rows = np.vstack([panels[whole], *(_panel_rows(seg.f_log, e) for e in cut.tolist())])
-        part = _refined(self.params, seg.f_log, rows, u_lo, math.exp(t_hi), t_hi)
-        return min(math.exp(_log_sum(part[:, 2]) - ln_j), 1.0)
+        name = _integral_name(self.params, u_lo, math.exp(t_hi), t_hi)
+        window = quadrature._sliced(seg.f_log, part, lo, hi, name)
+        return min(math.exp(quadrature._ln_total(window) - ln_j), 1.0)
 
     @functools.cached_property
     def negative_height_mass(self) -> float:
@@ -542,16 +525,11 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     if num < 1:
         raise ValueError(f"cdf_table needs num >= 1 rows, got num={num}")
     # the law's partition is the full range as one segment in t = ln(gap)
-    seg, panels = law._partition
-    total_ln = _log_sum(panels[:, 2])
-    share_ln = total_ln - math.log(num)
-    # rows run from the largest gap down, starting with a massless row at pi
-    ends, cells = [seg.hi], [_NEG_INF]
-    for lo, hi, log_val in panels[np.argsort(-panels[:, 0]), :3].tolist():
-        edges = np.linspace(lo, hi, 2 + int(math.exp(log_val - share_ln)))
-        ends.extend(edges[-2::-1])
-        cells.extend(reversed(panel_log_values(seg.f_log, edges)))
-    # the last row closes the table at theta = pi/2
+    seg, part = law._partition
+    # rows run from the largest gap down: a massless row at pi, one row at
+    # the lower end of each cell, and a last row closing the table at
+    # theta = pi/2
+    ends, cells = quadrature._mass_cells(seg.f_log, part, num)
     gaps = np.append(np.exp(ends), 0.0)
-    prefix = np.logaddexp.accumulate([*cells, _NEG_INF])
+    prefix = np.logaddexp.accumulate([_NEG_INF, *cells, _NEG_INF])
     return HALF_PI - gaps, np.cos(gaps), np.exp(prefix - prefix[-1])

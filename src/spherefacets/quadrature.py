@@ -12,9 +12,11 @@ log-sums over its columns.  Callers seed the panel layout with a
 geometric ladder around the peak; the globally adaptive loop (QUADPACK's
 QAG, Piessens et al., 1983) then splits the panel of largest error until
 the summed error is within the relative target ``REL_TOL`` of the summed
-value, within a budget of ``MAX_SPLITS`` splits.  Every height query of
-the package runs at this one fixed accuracy; ``log_integrate`` also
-takes others.
+value, within a budget of ``MAX_SPLITS`` splits.  Every integral of
+the package runs at this one fixed accuracy.  This module owns the row
+layout: callers build a partition (``_partition``), slice it to a window
+(``_sliced``), take its total (``_ln_total``) or cut it into cells of
+bounded mass (``_mass_cells``), and never read its rows.
 """
 
 from __future__ import annotations
@@ -118,35 +120,27 @@ def panel_log_values(f_log, boundaries) -> list:
     return [_eval_panel(f_log, a, b)[0] if b > a else _NEG_INF for a, b in zip(edges, edges[1:])]
 
 
-def _panel_rows(f_log, boundaries) -> np.ndarray:
-    """The partition of the paneled interval, one row (lo, hi, ln value,
-    ln error) per panel; raises ValueError unless the edges increase."""
-    edges = _checked_edges(boundaries)
-    if len(edges) < 2:
-        raise ValueError("need at least two panel boundaries")
-    if any(b < a for a, b in zip(edges, edges[1:])):
-        raise ValueError("panel boundaries must be increasing")
-    return np.array(
-        [(a, b, *_eval_panel(f_log, a, b)) for a, b in zip(edges, edges[1:]) if b > a]
-    ).reshape(-1, 4)
+def _rows(f_log, cells) -> np.ndarray:
+    """One row (lo, hi, ln value, ln error) per nonempty cell (lo, hi)."""
+    return np.array([(a, b, *_eval_panel(f_log, a, b)) for a, b in cells if b > a]).reshape(-1, 4)
 
 
-def _converged_panels(f_log, rows: np.ndarray, rel_tol: float, max_panels: int) -> np.ndarray:
-    """A copy of the partition ``rows`` of ``_panel_rows``, split until the
-    summed error estimate is within ``rel_tol`` of the summed value.  The
-    row of largest error (lowest index on ties) is replaced by its left
-    half and its right half is appended; one at float resolution is kept
-    as it is.
+def _converged(f_log, panels: np.ndarray, what: str) -> np.ndarray:
+    """The rows ``panels``, split in place until the summed error estimate
+    is within ``REL_TOL`` of the summed value.  The row of largest error
+    (lowest index on ties) is replaced by its left half and its right half
+    is appended; one at float resolution is kept as it is.  Raises
+    QuadratureError, naming the integral ``what``, after ``MAX_SPLITS``
+    splits.
     """
-    panels = np.array(rows, dtype=float)
     splits = 0
     while True:
         total_val, total_err = _log_sum(panels[:, 2]), _log_sum(panels[:, 3])
-        if total_val == _NEG_INF or total_err <= total_val + math.log(rel_tol):
+        if total_val == _NEG_INF or total_err <= total_val + math.log(REL_TOL):
             return panels
-        if splits >= max_panels:
+        if splits >= MAX_SPLITS:
             raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panel splits",
+                f"{what} did not converge within {MAX_SPLITS} panel splits",
                 total_val,
                 math.exp(total_err - total_val),
             )
@@ -169,17 +163,59 @@ def _log_sum(logs: np.ndarray) -> float:
     return peak + math.log(np.exp(logs - peak).sum())
 
 
-def log_integrate(
-    f_log,
-    boundaries,
-    rel_tol: float = REL_TOL,
-    max_panels: int = MAX_SPLITS,
-) -> LogReal:
+def _partition(f_log, boundaries, what: str = "quadrature") -> np.ndarray:
+    """The converged partition of exp(f_log) over the paneled interval.
+
+    ``boundaries`` is an increasing sequence of finite panel edges (at
+    least two entries).  Raises QuadratureError, naming the integral
+    ``what``, when the split budget runs out first.
+    """
+    edges = _checked_edges(boundaries)
+    if len(edges) < 2:
+        raise ValueError("need at least two panel boundaries")
+    if any(b < a for a, b in zip(edges, edges[1:])):
+        raise ValueError("panel boundaries must be increasing")
+    return _converged(f_log, _rows(f_log, zip(edges, edges[1:])), what)
+
+
+def _sliced(f_log, panels: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+    """The converged partition of [lo, hi] cut from the partition ``panels``.
+
+    The panels wholly inside the window are kept as they are, followed by
+    the one or two pieces the window cuts at its edges, evaluated fresh;
+    the slice is then split until its error is within ``REL_TOL`` of its
+    own total.
+    """
+    whole = (lo <= panels[:, 0]) & (panels[:, 1] <= hi)
+    cut = panels[~whole & (panels[:, 0] < hi) & (lo < panels[:, 1]), :2].clip(lo, hi)
+    return _converged(f_log, np.vstack((panels[whole], _rows(f_log, cut.tolist()))), what)
+
+
+def _ln_total(panels: np.ndarray) -> float:
+    """ln of the integral over a partition."""
+    return _log_sum(panels[:, 2])
+
+
+def _mass_cells(f_log, panels: np.ndarray, num: int) -> tuple:
+    """(edges, ln values) of cells cut from a partition, from its upper end
+    down.  Each panel is cut evenly into 1 + floor(num * its share of the
+    total) cells, so no cell holds more than 1/num of it; the edges start
+    at the partition's upper end, followed by the lower edge of each cell.
+    """
+    share_ln = _ln_total(panels) - math.log(num)
+    ends, cells = [float(panels[:, 1].max())], []
+    for lo, hi, log_val in panels[np.argsort(-panels[:, 0]), :3].tolist():
+        edges = np.linspace(lo, hi, 2 + int(math.exp(log_val - share_ln)))
+        ends.extend(edges[-2::-1])
+        cells.extend(reversed(panel_log_values(f_log, edges)))
+    return ends, cells
+
+
+def log_integrate(f_log, boundaries) -> LogReal:
     """Integral of exp(f_log) over the paneled interval, as a LogReal.
 
     ``boundaries`` is an increasing sequence of finite panel edges (at
     least two entries).  Raises QuadratureError when the split budget runs
-    out with the relative error estimate still above ``rel_tol``.
+    out with the relative error estimate still above ``REL_TOL``.
     """
-    panels = _converged_panels(f_log, _panel_rows(f_log, boundaries), rel_tol, max_panels)
-    return LogReal.from_log(_log_sum(panels[:, 2]))
+    return LogReal.from_log(_ln_total(_partition(f_log, boundaries)))
