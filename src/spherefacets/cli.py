@@ -85,10 +85,7 @@ def _run_exact(ns) -> dict:
     if ns.cdf_points:
         law = exact.TypicalHeightLaw.for_params(params)
         _, heights, cdf = exact.cdf_table(law, ns.cdf_points)
-        step = max(1, len(heights) // ns.cdf_points)
-        table_rows = [
-            [float(h), float(c)] for h, c in zip(heights[::step], cdf[::step])
-        ]
+        table_rows = [[float(h), float(c)] for h, c in zip(heights, cdf)]
         report["cdf_table"] = {"columns": ["height", "cdf"], "rows": table_rows}
         columns, rows = ["height", "cdf"], table_rows
     report["table"] = {"columns": columns, "rows": rows}
@@ -411,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", type=_HEIGHT, default=-1.0)
     p.add_argument("--h2", type=_HEIGHT, default=1.0)
     p.add_argument("--cdf-points", type=_integer(0, 20_000), default=0,
-                   help="emit every (len // N)-th row of the typical-height CDF table "
-                        "cdf_table(law, N): N to 2N rows, not always the h = 1 row")
+                   help="emit the N rows of the typical-height CDF table cdf_table(law, N), "
+                        "from h = -1 to h = 1 (N = 1: the h = 1 row only)")
     _add_output(p)
 
     p = sub.add_parser("asym", help="regime asymptotics (regime must be supplied)")

@@ -510,17 +510,19 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
 
 
 def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
-    """Table (theta, height, cdf) of the typical-height CDF, theta ascending
-    from -pi/2 to pi/2.
+    """Table (theta, height, cdf) of ``num`` rows of the typical-height
+    CDF, theta ascending from -pi/2 to pi/2.
 
     Rows are placed in proportion to mass: each converged panel of the
     law's partition (one segment in ln(gap)) is cut into
     1 + floor(num * its share of the mass) cells, so no cell holds more
     than 1/num of it, and the CDF at each row is a prefix sum of the
-    cells, as accurate as the quadrature.  The table opens with one
-    massless row at the gap pi (h = -1) and closes at the gap 0.
-    Where the mass lies below float resolution of theta at pi/2, rows
-    collapse to theta = pi/2 and h = 1, but their CDF values stay right.
+    cells, as accurate as the quadrature.  Those rows open with one
+    massless row at the gap pi (h = -1) and close at the gap 0 (h = 1,
+    CDF 1); ``num`` of them are kept, evenly by index and always with the
+    closing row, and with the opening row too once num >= 2.  Where the
+    mass lies below float resolution of theta at pi/2, rows collapse to
+    theta = pi/2 and h = 1, but their CDF values stay right.
     """
     if num < 1:
         raise ValueError(f"cdf_table needs num >= 1 rows, got num={num}")
@@ -532,4 +534,7 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     ends, cells = quadrature._mass_cells(seg.f_log, part, num)
     gaps = np.append(np.exp(ends), 0.0)
     prefix = np.logaddexp.accumulate([_NEG_INF, *cells, _NEG_INF])
-    return HALF_PI - gaps, np.cos(gaps), np.exp(prefix - prefix[-1])
+    # there are more than num rows: keep num of them, counted from the last
+    keep = np.linspace(len(gaps) - 1, 0, num).astype(int)[::-1]
+    gaps = gaps[keep]
+    return HALF_PI - gaps, np.cos(gaps), np.exp(prefix[keep] - prefix[-1])

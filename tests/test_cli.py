@@ -51,6 +51,16 @@ class TestExact:
         cdf_vals = [float(r[1]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(cdf_vals, cdf_vals[1:]))
 
+    @pytest.mark.parametrize("n, d", [(50, 4), (405, 400)])
+    @pytest.mark.parametrize("points", [2, 7, 200, 2001])
+    def test_cdf_points_rows_from_minus_one_to_one(self, capsys, n, d, points):
+        code, out, _ = run_cli(capsys, "exact", "--n", str(n), "--d", str(d),
+                               "--cdf-points", str(points), "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["cdf_table"]["rows"]
+        assert len(rows) == points
+        assert rows[0] == [-1.0, 0.0] and rows[-1] == [1.0, 1.0]
+
     def test_ln_n_input(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "--ln-n", "2000", "--d", "50",
                                "--format", "json")

@@ -523,6 +523,18 @@ class TestCdfTable:
                 want = typical_height_cdf(law, float(heights[i]))
                 assert cdf[i] == pytest.approx(want, abs=1e-8), (n, d, heights[i])
 
+    @pytest.mark.parametrize("n, d", [(50, 4), (405, 400)])
+    def test_num_rows_from_minus_one_to_one(self, n, d):
+        law = TypicalHeightLaw.for_params(PolytopeParams(n, d))
+        for num in (2, 7, 200, 2001):
+            thetas, heights, cdf = cdf_table(law, num)
+            assert len(thetas) == len(heights) == len(cdf) == num
+            assert (heights[0], cdf[0]) == (-1.0, 0.0)
+            assert (heights[-1], cdf[-1]) == (1.0, 1.0)
+            assert np.all(np.diff(cdf) >= 0)
+        _, heights, cdf = cdf_table(law, 1)
+        assert (heights.tolist(), cdf.tolist()) == ([1.0], [1.0])  # the closing row
+
     @pytest.mark.parametrize("num", [0, -3])
     def test_needs_a_row(self, num):
         law = TypicalHeightLaw.for_params(PolytopeParams(12, 4))
