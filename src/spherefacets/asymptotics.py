@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PolytopeParams, log_binomial
+from .exact import MAX_DIMENSION, PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
 from .numerics import LOG_SQRT_2PI, _log_gamma_half_ratio, log_norm_cdf
 from .solvers import bisect_root, newton_bracketed
@@ -336,8 +336,8 @@ def _first_negative(f, origin: float, step: float, what: str, rho: float) -> flo
 
 def facets_per_vertex_limit(d: int) -> LogReal:
     """Limit of (expected facets)/n as n -> infinity at fixed dimension d."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    if not 2 <= d <= MAX_DIMENSION:
+        raise ValueError(f"dimension must lie in [2, 10**154], got d={d}")
     q = 0.5 * (d * d - 2 * d)
     ln_k = (
         d * math.log(2.0)

@@ -12,7 +12,8 @@ quadrature runs at its one fixed accuracy (relative target 1e-9), which
 
 Each numeric flag declares its domain as its argparse ``type``:
 
-- ``--n``, ``--n-start``, ``--n-stop``: integers >= 3; ``--d`` >= 2;
+- ``--n``, ``--n-start``, ``--n-stop``: integers >= 3; ``--d`` in
+  [2, 10**154], where d * d - 2 * d is still a float;
   ``--n-step`` >= 1; ``--seed`` >= 0;
 - ``mc``/``compare --replicates`` in [1, 1000000], ``verify --points``
   in [1, 200000] and ``exact --cdf-points`` in [0, 20000], caps at which
@@ -334,7 +335,7 @@ class UsageError(Exception):
 
 def _integer(lo: int, hi: int | None = None):
     """argparse type: an integer in [lo, hi], unbounded above when hi is None."""
-    domain = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    domain = f">= {lo}" if hi is None else f"in [{lo}, {hi if hi < 10**9 else f'{hi:.0e}'}]"
 
     def parse(text: str) -> int:
         try:
@@ -369,6 +370,7 @@ def _finite(lo: float, hi: float = math.inf, *, above: bool = False):
 
 
 _HEIGHT = _finite(-1.0, 1.0)
+_DIMENSION = _integer(2, exact.MAX_DIMENSION)
 
 
 def _add_common(p):
@@ -376,7 +378,7 @@ def _add_common(p):
     size.add_argument("--n", type=_integer(3), default=None, help="point count")
     size.add_argument("--ln-n", type=float, default=None, dest="ln_n",
                       help="natural log of the point count (for n beyond float range)")
-    p.add_argument("--d", type=_integer(2), required=True, help="ambient dimension")
+    p.add_argument("--d", type=_DIMENSION, required=True, help="ambient dimension")
 
 
 def _add_regime(p, family_help=None):
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     p = sub.add_parser("scan", help="sweep n at fixed d, emit a table")
-    p.add_argument("--d", type=_integer(2), required=True)
+    p.add_argument("--d", type=_DIMENSION, required=True)
     p.add_argument("--n-start", type=_integer(3), required=True, dest="n_start")
     p.add_argument("--n-stop", type=_integer(3), required=True, dest="n_stop")
     p.add_argument("--n-step", type=_integer(1), default=1, dest="n_step")

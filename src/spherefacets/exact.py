@@ -66,11 +66,14 @@ _MAX_EXP_ARG = 709.0
 # below this ln(gap), sin(u) = u and cos(u) = 1 in float
 _SMALL_LOG_GAP = -40.0
 _LN_PI = math.log(math.pi)
+# the largest dimension: up to it d * d - 2 * d, the exponent of sin u in
+# E, converts to a finite float (it stops at about 1.34e154)
+MAX_DIMENSION = 10**154
 
 
 @dataclass(frozen=True)
 class PolytopeParams:
-    """Point count and ambient dimension, n > d >= 2.
+    """Point count and ambient dimension, n > d >= 2, d <= ``MAX_DIMENSION``.
 
     ``n`` may be omitted in favor of ``ln_n`` for counts beyond float
     range (needed once n grows like exp(rho * d)).
@@ -81,8 +84,8 @@ class PolytopeParams:
     ln_n: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 2):
-            raise ValueError(f"dimension must be an integer >= 2, got {self.d}")
+        if not (isinstance(self.d, int) and 2 <= self.d <= MAX_DIMENSION):
+            raise ValueError(f"dimension must be an integer in [2, 10**154], got d={self.d}")
         if self.n is not None:
             try:
                 n = float(self.n)

@@ -1,6 +1,7 @@
 """Regime classification, rate functions, constants, and limit formulas."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -187,6 +188,12 @@ class TestConstants:
     def test_low_dimension_values(self):
         assert facets_per_vertex_limit(2).to_float() == pytest.approx(1.0, abs=1e-12)
         assert facets_per_vertex_limit(3).to_float() == pytest.approx(2.0, abs=1e-12)
+
+    def test_limit_rejects_d_beyond_float_range(self):
+        assert math.isfinite(facets_per_vertex_limit(10**154).ln())
+        for d in (1, 10**154 + 1, 10**155):
+            with pytest.raises(ValueError, match=re.escape(f"got d={d}")):
+                facets_per_vertex_limit(d)
 
     def test_limit_against_exact_ratio(self):
         k4 = facets_per_vertex_limit(4).to_float()

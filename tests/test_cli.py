@@ -271,6 +271,12 @@ class TestEmission:
         assert code == 1
         assert "n is too large for a float; give ln_n instead" in err
 
+    def test_d_beyond_float_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--ln-n", "1e140", "--d", str(10**155)])
+        assert exc.value.code == 2
+        assert "argument --d: must be an integer in [2, 1e+154]" in capsys.readouterr().err
+
     def test_infinite_ln_n_exits_one_naming_it(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--ln-n", "inf", "--d", "3")
         assert code == 1
@@ -299,7 +305,7 @@ _EDGES = {
 # nan and inf are added to every flag.  --ln-n is a plain float whose domain
 # the library owns (ln 3 < 1.1 for d = 2), so it is walked from inside too.
 _OUTSIDE = {
-    "--n": ["2"], "--d": ["1"], "--n-start": ["2"], "--n-stop": ["2"], "--n-step": ["0"],
+    "--n": ["2"], "--d": ["1", str(10**154 + 1)], "--n-start": ["2"], "--n-stop": ["2"], "--n-step": ["0"],
     "--seed": ["-1"], "--replicates": ["0", str(2**32), "1000001"], "--points": ["0", "200001"],
     "--cdf-points": ["-1", "20001"], "--rho": ["-5e-324"], "--r1": ["0"], "--r2": ["0"],
     "--h1": ["-1.0000000000000002", "1.0000000000000002"],

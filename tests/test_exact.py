@@ -80,6 +80,15 @@ class TestParams:
             ln_f = expected_facets(PolytopeParams.from_log(ln_n, 3)).ln()
             assert ln_f / ln_n == pytest.approx(1.0, rel=1e-12)
 
+    def test_rejects_d_whose_exponent_leaves_float_range(self):
+        # d * d - 2 * d converts to a float up to d ~ 1.34e154
+        assert PolytopeParams.from_log(1e140, 10**154).d == 10**154
+        for d in (10**154 + 1, 10**155):
+            with pytest.raises(ValueError, match=re.escape(f"got d={d}")):
+                PolytopeParams.from_log(1e140, d)
+        with pytest.raises(ValueError, match=re.escape(f"got d={10**155}")):
+            PolytopeParams(10**156, 10**155)
+
     def test_zero_full_range_count_raises_naming_its_inputs(self):
         # a full-range count is at least d + 1, so a zero integral is a failure
         params = PolytopeParams.from_log(2.2471164185778946e307, 4)
