@@ -444,11 +444,6 @@ class TypicalHeightLaw:
         window = quadrature._sliced(seg.f_log, part, lo, hi, name)
         return min(math.exp(quadrature._ln_total(window) - ln_j), 1.0)
 
-    @functools.cached_property
-    def negative_height_mass(self) -> float:
-        """P(typical height < 0); reported alongside the gamma statistic."""
-        return self._mass_of_gaps(HALF_PI)
-
 
 def typical_height_cdf(law: TypicalHeightLaw, h: float) -> float:
     """P(typical height <= h)."""
@@ -489,8 +484,7 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
     (1 - H^2)^((d-1)/2), restricted to H >= 0; for n growing fast enough
     it converges to a Gamma(d-1) law.  The value returned is
     P(H >= h(y)) with h(y) the height solving Y = y; the mass at
-    negative heights is reported separately by
-    ``law.negative_height_mass``, not folded in.
+    negative heights, ``typical_height_cdf(law, 0.0)``, is not folded in.
     """
     if not y > 0:
         raise ValueError(f"statistic value must be positive, got {y}")

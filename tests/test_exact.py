@@ -463,7 +463,7 @@ class TestGammaStatistic:
     def test_large_y_limit_is_positive_mass(self):
         law = TypicalHeightLaw.for_params(PolytopeParams(40, 4))
         tail = gamma_statistic_cdf(law, 1e9)
-        assert tail == pytest.approx(1.0 - law.negative_height_mass, abs=1e-9)
+        assert tail == pytest.approx(1.0 - typical_height_cdf(law, 0.0), abs=1e-9)
 
     def test_d2_exponential_limit(self):
         law = TypicalHeightLaw.for_params(PolytopeParams(10**4, 2))
@@ -601,7 +601,7 @@ class TestLawPartition:
         law, _ = counted_law
         assert 0.0 < typical_height_cdf(law, 0.5) < 1.0
         assert 0.0 < gamma_statistic_cdf(law, 1.0) < 1.0
-        assert 0.0 <= law.negative_height_mass < 1e-6
+        assert 0.0 <= typical_height_cdf(law, 0.0) < 1e-6
         assert typical_height_quantile(law, 0.5) == pytest.approx(0.8032497192708776, abs=1e-12)
         _, _, cdf = cdf_table(law, 101)
         assert cdf[-1] == 1.0
