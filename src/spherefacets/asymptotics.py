@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .exact import MAX_DIMENSION, PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
-from .numerics import LOG_SQRT_2PI, _log_gamma_half_ratio, log_norm_cdf
+from .numerics import LOG_SQRT_2PI, _log_cap_constant, _log_gamma_half_ratio, log_norm_cdf
 from .solvers import bisect_root, newton_bracketed
 
 __all__ = [
@@ -531,10 +531,7 @@ def typical_height_asymptotic(
             {"statistic": "-(d-1)/ln(n) * ln(1 - H^2)", "limit": 2.0},
         )
     if tag == Regime.SUPERFACTORIAL:
-        scale_ln = (
-            params.ln_n - _log_gamma_half_ratio(0.5 * d)
-            - math.log(2.0) - 0.5 * math.log(math.pi)
-        )
+        scale_ln = params.ln_n - _log_cap_constant(d)
         return TypicalHeightAsymptotic(
             tag, limit_height(spec, params), None, "gamma",
             {
@@ -568,10 +565,7 @@ def glasauer_schneider_constant(d: int) -> float:
     """Constant in the fixed-dimension Hausdorff asymptotic c_d (ln n / n)^(2/(d-1))."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    ln_two_c = (2.0 / (d - 1.0)) * (
-        math.log(2.0) + 0.5 * math.log(math.pi) + _log_gamma_half_ratio(0.5 * d)
-    )
-    return 0.5 * math.exp(ln_two_c)
+    return 0.5 * math.exp((2.0 / (d - 1.0)) * _log_cap_constant(d))
 
 
 def hausdorff_asymptotic(

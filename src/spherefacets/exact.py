@@ -42,7 +42,7 @@ import numpy as np
 
 from . import quadrature
 from .logreal import LogReal
-from .numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
+from .numerics import _log_cap_constant, _log_half_tail, log_c_alpha
 from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
@@ -489,13 +489,7 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
     if not y > 0:
         raise ValueError(f"statistic value must be positive, got {y}")
     d = law.params.d
-    ln_t = (
-        math.log(y)
-        + math.log(2.0)
-        + 0.5 * math.log(math.pi)
-        + _log_gamma_half_ratio(0.5 * d)
-        - law.params.ln_n
-    )
+    ln_t = math.log(y) + _log_cap_constant(d) - law.params.ln_n
     # 1 - h^2 = t^(2/(d-1)); the gap is arcsin(sqrt(1 - h^2)), and a cap
     # beyond a hemisphere (t >= 1) takes every H >= 0, the gap pi/2
     ln_root_s = min(ln_t, 0.0) / (d - 1)

@@ -227,6 +227,12 @@ def log_c_alpha(alpha: float) -> float:
     return _log_gamma_half_ratio(alpha + 1.0) - _LOG_SQRT_PI
 
 
+def _log_cap_constant(d: int) -> float:
+    """ln(2 sqrt(pi) Gamma((d+1)/2) / Gamma(d/2)): the cap statistic of the
+    facet height H in dimension d is n (1 - H^2)^((d-1)/2) / exp(this)."""
+    return math.log(2.0) + _LOG_SQRT_PI + _log_gamma_half_ratio(0.5 * d)
+
+
 def gauss_beta_norm(alpha: float) -> float:
     """Normalizer of the sqrt(alpha)-rescaled symmetric beta density.
 

@@ -23,7 +23,7 @@ from spherefacets import (
     random_bounds_grid,
     scaled_beta_cdf,
 )
-from spherefacets.numerics import _log_gamma_half_ratio, _log_half_tail, log_c_alpha
+from spherefacets.numerics import _log_cap_constant, _log_gamma_half_ratio, _log_half_tail, log_c_alpha
 
 
 def gauss_legendre_theta(alpha: float, lo: float = -1.0, hi: float = 1.0, m: int = 400):
@@ -226,6 +226,15 @@ def test_gamma_half_ratio_against_mpmath(x):
     with mpmath.workdps(40):
         want = float(mpmath.loggamma(mpmath.mpf(x) + 0.5) - mpmath.loggamma(x))
     assert _log_gamma_half_ratio(x) == pytest.approx(want, abs=5e-14)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 400, 10**6])
+def test_cap_constant_against_mpmath(d):
+    # 2 sqrt(pi) Gamma((d+1)/2) / Gamma(d/2): pi at d = 2, 4 at d = 3
+    with mpmath.workdps(40):
+        want = float(mpmath.log(2 * mpmath.sqrt(mpmath.pi))
+                     + mpmath.loggamma(mpmath.mpf(d + 1) / 2) - mpmath.loggamma(mpmath.mpf(d) / 2))
+    assert _log_cap_constant(d) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 class TestInnerCdf:
