@@ -317,11 +317,6 @@ def _integrated_segment(f_u, u_lo, u_hi, t_hi) -> tuple:
     return quadrature._ln_total(part), seg, part
 
 
-def _full_range(params: PolytopeParams) -> tuple:
-    """``_integrated_segment`` of the full range of gaps, one segment in t."""
-    return _integrated_segment(_GapIntegrand(params), 0.0, math.pi, _LN_PI)
-
-
 def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
     """The height-window integral J[h1, h2], as a LogReal.
 
@@ -409,15 +404,16 @@ class TypicalHeightLaw:
 
     @classmethod
     def for_params(cls, params: PolytopeParams) -> "TypicalHeightLaw":
-        total_ln, *partition = _full_range(params)
+        total_ln, *partition = _integrated_segment(_GapIntegrand(params), 0.0, math.pi, _LN_PI)
         law = cls(params, LogReal.from_log(total_ln))
         law._partition = tuple(partition)
         return law
 
     @functools.cached_property
     def _partition(self) -> tuple:
-        """(segment, converged partition) of the full range of gaps."""
-        return _full_range(self.params)[1:]
+        """(segment, converged partition) of the full range of gaps, built
+        as ``for_params`` builds it."""
+        return TypicalHeightLaw.for_params(self.params)._partition
 
     def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
         """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)].
@@ -519,13 +515,11 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
         raise ValueError(f"cdf_table needs num >= 1 rows, got num={num}")
     # the law's partition is the full range as one segment in t = ln(gap)
     seg, part = law._partition
-    # rows run from the largest gap down: a massless row at pi, one row at
-    # the lower end of each cell, and a last row closing the table at
-    # theta = pi/2
+    # rows run from the largest gap down: a massless row at pi, one at the
+    # lower end of each cell, and one closing the table at theta = pi/2
     ends, cells = quadrature._mass_cells(seg.f_log, part, num)
-    gaps = np.append(np.exp(ends), 0.0)
     prefix = np.logaddexp.accumulate([_NEG_INF, *cells, _NEG_INF])
     # there are more than num rows: keep num of them, counted from the last
-    keep = np.linspace(len(gaps) - 1, 0, num).astype(int)[::-1]
-    gaps = gaps[keep]
+    keep = np.linspace(len(ends), 0, num).astype(int)[::-1]
+    gaps = np.append(np.exp(ends), 0.0)[keep]
     return HALF_PI - gaps, np.cos(gaps), np.exp(prefix[keep] - prefix[-1])

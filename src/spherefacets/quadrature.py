@@ -164,12 +164,8 @@ def _log_sum(logs: np.ndarray) -> float:
 
 
 def _partition(f_log, boundaries, what: str = "quadrature") -> np.ndarray:
-    """The converged partition of exp(f_log) over the paneled interval.
-
-    ``boundaries`` is an increasing sequence of finite panel edges (at
-    least two entries).  Raises QuadratureError, naming the integral
-    ``what``, when the split budget runs out first.
-    """
+    """The converged partition of exp(f_log) over the increasing, finite
+    panel edges ``boundaries``; a QuadratureError names the integral ``what``."""
     edges = _checked_edges(boundaries)
     if len(edges) < 2:
         raise ValueError("need at least two panel boundaries")
@@ -179,13 +175,9 @@ def _partition(f_log, boundaries, what: str = "quadrature") -> np.ndarray:
 
 
 def _sliced(f_log, panels: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
-    """The converged partition of [lo, hi] cut from the partition ``panels``.
-
-    The panels wholly inside the window are kept as they are, followed by
-    the one or two pieces the window cuts at its edges, evaluated fresh;
-    the slice is then split until its error is within ``REL_TOL`` of its
-    own total.
-    """
+    """The converged partition of [lo, hi] cut from the partition ``panels``:
+    the panels inside the window as they are, then the one or two pieces
+    it cuts at its edges, evaluated fresh."""
     whole = (lo <= panels[:, 0]) & (panels[:, 1] <= hi)
     cut = panels[~whole & (panels[:, 0] < hi) & (lo < panels[:, 1]), :2].clip(lo, hi)
     return _converged(f_log, np.vstack((panels[whole], _rows(f_log, cut.tolist()))), what)
@@ -198,10 +190,8 @@ def _ln_total(panels: np.ndarray) -> float:
 
 def _mass_cells(f_log, panels: np.ndarray, num: int) -> tuple:
     """(edges, ln values) of cells cut from a partition, from its upper end
-    down.  Each panel is cut evenly into 1 + floor(num * its share of the
-    total) cells, so no cell holds more than 1/num of it; the edges start
-    at the partition's upper end, followed by the lower edge of each cell.
-    """
+    down: each panel is cut evenly into 1 + floor(num * its share of the
+    total) cells, and the edges are the upper end, then each cell's lower edge."""
     share_ln = _ln_total(panels) - math.log(num)
     ends, cells = [float(panels[:, 1].max())], []
     for lo, hi, log_val in panels[np.argsort(-panels[:, 0]), :3].tolist():

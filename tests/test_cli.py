@@ -305,7 +305,8 @@ _EDGES = {
 # nan and inf are added to every flag.  --ln-n is a plain float whose domain
 # the library owns (ln 3 < 1.1 for d = 2), so it is walked from inside too.
 _OUTSIDE = {
-    "--n": ["2"], "--d": ["1", str(10**154 + 1)], "--n-start": ["2"], "--n-stop": ["2"], "--n-step": ["0"],
+    "--n": ["2"], "--d": ["1", str(10**154 + 1)], "--n-start": ["2"], "--n-stop": ["2"],
+    "--n-step": ["0"],
     "--seed": ["-1"], "--replicates": ["0", str(2**32), "1000001"], "--points": ["0", "200001"],
     "--cdf-points": ["-1", "20001"], "--rho": ["-5e-324"], "--r1": ["0"], "--r2": ["0"],
     "--h1": ["-1.0000000000000002", "1.0000000000000002"],

@@ -23,7 +23,12 @@ from spherefacets import (
     random_bounds_grid,
     scaled_beta_cdf,
 )
-from spherefacets.numerics import _log_cap_constant, _log_gamma_half_ratio, _log_half_tail, log_c_alpha
+from spherefacets.numerics import (
+    _log_cap_constant,
+    _log_gamma_half_ratio,
+    _log_half_tail,
+    log_c_alpha,
+)
 
 
 def gauss_legendre_theta(alpha: float, lo: float = -1.0, hi: float = 1.0, m: int = 400):
