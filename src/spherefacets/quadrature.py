@@ -163,7 +163,7 @@ def _log_sum(logs: np.ndarray) -> float:
     return peak + math.log(np.exp(logs - peak).sum())
 
 
-def _partition(f_log, boundaries, what: str = "quadrature") -> np.ndarray:
+def _partition(f_log, boundaries, what: str) -> np.ndarray:
     """The converged partition of exp(f_log) over the increasing, finite
     panel edges ``boundaries``; a QuadratureError names the integral ``what``."""
     edges = _checked_edges(boundaries)
@@ -208,4 +208,4 @@ def log_integrate(f_log, boundaries) -> LogReal:
     least two entries).  Raises QuadratureError when the split budget runs
     out with the relative error estimate still above ``REL_TOL``.
     """
-    return LogReal.from_log(_ln_total(_partition(f_log, boundaries)))
+    return LogReal.from_log(_ln_total(_partition(f_log, boundaries, "quadrature")))

@@ -271,12 +271,6 @@ class TestEmission:
         assert code == 1
         assert "n is too large for a float; give ln_n instead" in err
 
-    def test_d_beyond_float_range_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["exact", "--ln-n", "1e140", "--d", str(10**155)])
-        assert exc.value.code == 2
-        assert "argument --d: must be an integer in [2, 1e+154]" in capsys.readouterr().err
-
     def test_infinite_ln_n_exits_one_naming_it(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--ln-n", "inf", "--d", "3")
         assert code == 1
