@@ -94,8 +94,8 @@ class GrowthFamily:
     """Symbolic growth of n against d.
 
     kinds: ``n_minus_d_power`` (n - d = coef * d^power),
-    ``n_power`` (n = coef * d^power), ``log_n_linear`` (ln n = coef * d),
-    ``log_n_power`` (ln n = coef * d^power), ``log_n_dlogd``
+    ``n_power`` (n = coef * d^power), ``log_n_power``
+    (ln n = coef * d^power), ``log_n_dlogd``
     (ln n = coef * d * ln d), ``d_fixed`` (d = coef, n free).
     """
 
@@ -104,10 +104,7 @@ class GrowthFamily:
     power: float = 1.0
 
     def __post_init__(self):
-        kinds = {
-            "n_minus_d_power", "n_power", "log_n_linear",
-            "log_n_power", "log_n_dlogd", "d_fixed",
-        }
+        kinds = {"n_minus_d_power", "n_power", "log_n_power", "log_n_dlogd", "d_fixed"}
         if self.kind not in kinds:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not self.coef > 0:
@@ -161,8 +158,6 @@ def parse_family(text: str) -> GrowthFamily:
         return GrowthFamily("n_minus_d_power", coef, power)
     if lhs == "n":
         return GrowthFamily("n_power", coef, power)
-    if power == 1.0:
-        return GrowthFamily("log_n_linear", coef)
     return GrowthFamily("log_n_power", coef, power)
 
 
@@ -216,8 +211,6 @@ def classify(family: GrowthFamily) -> RegimeSpec:
                 )
             return RegimeSpec(Regime.LINEAR, c - 1.0, family)
         raise AmbiguousFamilyError(f"n = c*d^a needs a >= 1: {family}")
-    if kind == "log_n_linear":
-        return RegimeSpec(Regime.EXPONENTIAL, c, family)
     if kind == "log_n_power":
         if a > 1.0:
             return RegimeSpec(Regime.SUPERFACTORIAL, None, family)

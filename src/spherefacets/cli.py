@@ -6,9 +6,11 @@ formulas), ``mc`` (Monte Carlo census), ``compare`` (three-way check),
 oracle suites; nonzero exit on any violation).
 
 Every path is a thin adapter over the library modules: the numbers
-emitted are exactly what the corresponding direct calls return.  The
-quadrature runs at its one fixed accuracy (relative target 1e-9), which
-``exact`` reports as ``rel_tol``; no command takes a tolerance.
+emitted are exactly what the corresponding direct calls return.  A
+handler returns only its own fields and table; ``main`` puts the header
+(``schema_version``, ``command``) ahead of them.  The quadrature runs
+at its one fixed accuracy (relative target 1e-9), which ``exact``
+reports as ``rel_tol``; no command takes a tolerance.
 
 Each numeric flag declares its domain as its argparse ``type``:
 
@@ -38,11 +40,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import asymptotics as asym
 from . import exact, montecarlo, quadrature
-from .logreal import LogReal
 from .numerics import check_bounds_suite, random_bounds_grid
 
 SCHEMA_VERSION = 1
@@ -72,8 +71,6 @@ def _run_exact(ns) -> dict:
     count = exact.expected_facets(params, window)
     n_out = int(params.n) if params.n is not None else None
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "exact",
         "n": n_out,
         "ln_n": params.ln_n,
         "d": params.d,
@@ -99,8 +96,6 @@ def _run_asym(ns) -> dict:
     count = asym.facet_count_asymptotic(spec, params)
     height = asym.typical_height_asymptotic(spec, params)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "asym",
         "n": int(params.n) if params.n is not None else None,
         "ln_n": params.ln_n,
         "d": params.d,
@@ -149,7 +144,7 @@ def _run_mc(ns) -> dict:
     result = montecarlo.estimate(spec)
     if ns.dump_facets:
         montecarlo.write_facet_csv(ns.dump_facets, result.records_by_replicate)
-    report = {"schema_version": SCHEMA_VERSION, "command": "mc"} | result.to_dict()
+    report = result.to_dict()
     cols = ["n", "d", "replicates", "mean_facets", "se_facets",
             "origin_inside_freq", "origin_inside_se"]
     report["table"] = {
@@ -159,41 +154,28 @@ def _run_mc(ns) -> dict:
     return report
 
 
+def _versus(quantity: str, reference: float, estimate: float, se: float = math.nan) -> list:
+    """A ``compare`` row: z = (estimate - reference) / se when se > 0, and
+    ratio = estimate / reference when reference > 0, else nan."""
+    z = (estimate - reference) / se if se > 0 else math.nan
+    ratio = estimate / reference if reference > 0 else math.nan
+    return [quantity, reference, estimate, se, z, ratio]
+
+
 def _run_compare(ns) -> dict:
     params = _params_from(ns)
     exact_count = exact.expected_facets(params).to_float()
     spec = montecarlo.EnsembleSpec(params, replicates=ns.replicates, seed=ns.seed)
     result = montecarlo.estimate(spec)
-    miss = asym.origin_outside_prob(int(params.n), params.d)
-    rows = [
-        [
-            "facet_count",
-            exact_count,
-            result.mean_facets,
-            result.se_facets,
-            (result.mean_facets - exact_count) / result.se_facets
-            if result.se_facets
-            else math.nan,
-            result.mean_facets / exact_count,
-        ],
-        [
-            "origin_inside",
-            1.0 - miss,
-            result.origin_inside_freq,
-            result.origin_inside_se,
-            (result.origin_inside_freq - (1.0 - miss)) / result.origin_inside_se
-            if result.origin_inside_se > 0
-            else math.nan,
-            result.origin_inside_freq / (1.0 - miss) if miss < 1.0 else math.nan,
-        ],
-    ]
-    law = exact.TypicalHeightLaw.for_params(params)
-    _, heights, cdf = exact.cdf_table(law)
+    inside = 1.0 - asym.origin_outside_prob(int(params.n), params.d)
+    _, heights, cdf = exact.cdf_table(exact.TypicalHeightLaw.for_params(params))
     ks = montecarlo.ks_distance(result.pooled_heights, heights, cdf)
-    rows.append(["pooled_height_ks", 0.0, ks, math.nan, math.nan, math.nan])
+    rows = [
+        _versus("facet_count", exact_count, result.mean_facets, result.se_facets),
+        _versus("origin_inside", inside, result.origin_inside_freq, result.origin_inside_se),
+        _versus("pooled_height_ks", 0.0, ks),
+    ]
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
         "n": int(params.n),
         "d": params.d,
         "replicates": ns.replicates,
@@ -204,12 +186,10 @@ def _run_compare(ns) -> dict:
         },
     }
     if ns.regime or ns.family:
-        spec_r = _regime_from(ns)
-        a = asym.facet_count_asymptotic(spec_r, params)
-        report["asymptotic_ln_facets"] = a.log_count
+        ln_asym = asym.facet_count_asymptotic(_regime_from(ns), params).log_count
+        report["asymptotic_ln_facets"] = ln_asym
         report["exact_ln_facets"] = math.log(exact_count)
-        rows.append(["ln_facets_asym_vs_exact", math.log(exact_count), a.log_count,
-                     math.nan, math.nan, a.log_count / math.log(exact_count)])
+        rows.append(_versus("ln_facets_asym_vs_exact", math.log(exact_count), ln_asym))
     return report
 
 
@@ -231,8 +211,6 @@ def _run_scan(ns) -> dict:
     if spec is not None:
         columns.append("ln_F_asym")
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
         "d": ns.d,
         "window": [ns.h1, ns.h2],
         "table": {"columns": columns, "rows": rows},
@@ -240,13 +218,7 @@ def _run_scan(ns) -> dict:
 
 
 def _run_verify(ns) -> dict:
-    grids = random_bounds_grid(ns.points, ns.seed)
-    bounds = check_bounds_suite(**grids)
-    rows = [
-        ["inequality_suites", bounds.checked, len(bounds.violations)],
-    ]
-    failures = len(bounds.violations)
-
+    bounds = check_bounds_suite(**random_bounds_grid(ns.points, ns.seed))
     oracles = [
         *((exact.PolytopeParams(n, 2), n) for n in range(3, 21)),
         *((exact.PolytopeParams(d + 1, d), d + 1) for d in range(2, 11)),
@@ -256,26 +228,23 @@ def _run_verify(ns) -> dict:
         abs(exact.expected_facets(params).to_float() - want) > 1e-6 * want
         for params, want in oracles
     )
-    rows.append(["facet_count_oracles", len(oracles), oracle_bad])
-    failures += oracle_bad
-
-    const_bad = 0
-    const_bad += abs(asym.facets_per_vertex_limit(2).to_float() - 1.0) > 1e-12
-    const_bad += abs(asym.facets_per_vertex_limit(3).to_float() - 2.0) > 1e-12
-    for d in range(1, 21):
-        const_bad += abs(asym.origin_outside_prob(2 * d, d) - 0.5) > 1e-12
-    rows.append(["constants", 22, const_bad])
-    failures += const_bad
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    constants = [
+        (asym.facets_per_vertex_limit(2).to_float(), 1.0),
+        (asym.facets_per_vertex_limit(3).to_float(), 2.0),
+        *((asym.origin_outside_prob(2 * d, d), 0.5) for d in range(1, 21)),
+    ]
+    const_bad = sum(abs(got - want) > 1e-12 for got, want in constants)
+    rows = [
+        ["inequality_suites", bounds.checked, len(bounds.violations)],
+        ["facet_count_oracles", len(oracles), oracle_bad],
+        ["constants", len(constants), const_bad],
+    ]
+    return {
         "points": ns.points,
         "seed": ns.seed,
-        "failures": int(failures),
+        "failures": sum(row[2] for row in rows),
         "table": {"columns": ["suite", "checked", "violations"], "rows": rows},
     }
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -283,15 +252,12 @@ def _run_verify(ns) -> dict:
 # ----------------------------------------------------------------------
 
 def _sanitize(obj):
-    if isinstance(obj, LogReal):
-        return obj.to_dict()
+    """The report with nan as null and +-inf as "inf"/"-inf"."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
@@ -466,7 +432,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        report = _HANDLERS[ns.subcommand](ns)
+        report = {"schema_version": SCHEMA_VERSION, "command": ns.subcommand}
+        report |= _HANDLERS[ns.subcommand](ns)
         emit(report, ns.format, ns.out)
     except UsageError as err:
         parser.error(str(err))

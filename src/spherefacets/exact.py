@@ -357,27 +357,30 @@ def log_binomial(params: PolytopeParams) -> float:
 def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
     """Expected number of facets with height in the window, as a LogReal.
 
-    A window's count is zero when ln F lies below float range.  The
-    full-range count is at least d + 1, so a zero there raises
-    QuadratureError, naming ln n and d.
+    A window's count is zero when ln F lies below float range.  Every
+    polytope has at least d + 1 facets, so a full-range ln F below
+    ln(d + 1) (less a relative slack of 1e-6 in F) raises QuadratureError,
+    naming ln n, d and ln F.
     """
     integral = height_integral(params, window)
-    if integral.is_zero():
-        if window == FULL_RANGE:
-            raise QuadratureError(
-                f"the full-range height integral at ln n = {params.ln_n!r}, d = {params.d} "
-                f"came back zero, below any count of at least d + 1 facets",
-                _NEG_INF,
-                math.inf,
-            )
+    full = window == FULL_RANGE
+    if integral.is_zero() and not full:
         return LogReal.zero()
     d = params.d
-    ln_f = (
+    ln_f = _NEG_INF if integral.is_zero() else (
         log_binomial(params)
         + math.log(2.0)
         + log_c_alpha(0.5 * (d * d - 2 * d - 1))
         + integral.ln()
     )
+    if full and not ln_f >= math.log(d + 1) + math.log1p(-1e-6):
+        got = "came back zero" if integral.is_zero() else f"gives ln F = {ln_f!r}"
+        raise QuadratureError(
+            f"the full-range height integral at ln n = {params.ln_n!r}, d = {d} {got}, "
+            f"below any count of at least d + 1 facets",
+            integral.log_abs,
+            math.inf,
+        )
     return LogReal.from_log(ln_f)
 
 
@@ -415,28 +418,28 @@ class TypicalHeightLaw:
         as ``for_params`` builds it."""
         return TypicalHeightLaw.for_params(self.params)._partition
 
-    def _mass_of_gaps(self, u_lo: float, t_hi: float = _LN_PI) -> float:
-        """Probability of gaps pi/2 - theta in [u_lo, exp(t_hi)].
+    def _mass_of_gaps(self, t_lo: float, t_hi: float) -> float:
+        """Probability of gaps pi/2 - theta in [exp(t_lo), exp(t_hi)].
 
-        The window is cut to the partition's span in t = ln(gap); the mass
-        outside it is a factor exp(-750) of the total.  E is unimodal in
-        t, so the window's peak is the segment's when the window holds
-        the mode, else the larger edge value; a window whose peak * width
-        bound cannot move the normalizer at the relative target has zero
-        mass.
+        Both edges are in t = ln(gap), the partition's own coordinate, so
+        t_lo = -inf is the gap 0 (h = 1).  The window is cut to the
+        partition's span; the mass outside it is a factor exp(-750) of the
+        total.  E is unimodal in t, so the window's peak is the segment's
+        when the window holds the mode, else the larger edge value; a
+        window whose peak * width bound cannot move the normalizer at the
+        relative target has zero mass.
         """
-        if u_lo == 0.0 and t_hi >= _LN_PI:
+        if t_lo == _NEG_INF and t_hi >= _LN_PI:
             return 1.0
         seg, part = self._partition
-        lo = max(math.log(u_lo), seg.lo) if u_lo > 0.0 else seg.lo
-        hi = min(t_hi, seg.hi)
+        lo, hi = max(t_lo, seg.lo), min(t_hi, seg.hi)
         if not lo < hi:
             return 0.0
         ln_j = self.normalizer.ln()
         peak = seg.peak if lo <= seg.mode <= hi else max(seg.f_log(lo), seg.f_log(hi))
         if peak + math.log(hi - lo) < ln_j + math.log(quadrature.REL_TOL) - 40.0:
             return 0.0
-        name = _integral_name(self.params, u_lo, math.exp(t_hi), t_hi)
+        name = _integral_name(self.params, math.exp(t_lo), math.exp(t_hi), t_hi)
         window = quadrature._sliced(seg.f_log, part, lo, hi, name)
         return min(math.exp(quadrature._ln_total(window) - ln_j), 1.0)
 
@@ -445,32 +448,34 @@ def typical_height_cdf(law: TypicalHeightLaw, h: float) -> float:
     """P(typical height <= h)."""
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
-    return law._mass_of_gaps(HALF_PI - math.asin(h))
+    gap = HALF_PI - math.asin(h)
+    return law._mass_of_gaps(math.log(gap) if gap > 0.0 else _NEG_INF, _LN_PI)
 
 
 def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
     """Inverse of the typical-height CDF, to 1e-10 absolute in height.
 
-    Newton runs on the angular variable theta = arcsin(h), inside a
-    bisection bracket, with the exact density exp(E(pi/2 - theta)) / J as
-    the derivative and the mode of the law's partition in ln(gap) as the
-    start; each step's CDF is a slice of the partition.  The angular
-    tolerance bounds the height error.
+    Newton runs in the partition's own coordinate t = ln(gap), inside a
+    bisection bracket over the partition's span, with the exact density
+    -exp(E_t(t)) / J as the derivative of the CDF in t and the partition's
+    mode as the start; each step's CDF is a slice of the partition.  The
+    tolerance 1e-10/pi in t keeps the gap, and so the height cos(gap),
+    within 1e-10.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    f_u = _GapIntegrand(law.params)
-    mode_gap = math.exp(law._partition[0].mode)
-    theta = newton_bracketed(
-        lambda t: law._mass_of_gaps(HALF_PI - t) - p,
-        lambda t: math.exp(f_u(HALF_PI - t) - law.normalizer.ln()),
-        -HALF_PI,
-        HALF_PI,
-        x0=HALF_PI - mode_gap,
-        xtol=1e-10,
+    seg, _ = law._partition
+    ln_j = law.normalizer.ln()
+    t = newton_bracketed(
+        lambda t: law._mass_of_gaps(t, _LN_PI) - p,
+        lambda t: -math.exp(seg.f_log(t) - ln_j),
+        seg.lo,
+        seg.hi,
+        x0=seg.mode,
+        xtol=1e-10 / math.pi,
         max_iter=80,
     )
-    return math.sin(theta)
+    return math.cos(math.exp(t))
 
 
 def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
@@ -493,7 +498,7 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
         log_gap = math.log(math.asin(min(math.exp(ln_root_s), 1.0)))
     else:
         log_gap = ln_root_s  # arcsin(x) = x to relative O(x^2)
-    return law._mass_of_gaps(0.0, log_gap)
+    return law._mass_of_gaps(_NEG_INF, log_gap)
 
 
 def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:

@@ -83,6 +83,11 @@ class TestClassify:
             with pytest.raises(ValueError):
                 parse_family(bad)
 
+    def test_exponential_family_is_log_n_power_one(self):
+        family = parse_family("ln(n)=2*d")
+        assert family == GrowthFamily("log_n_power", 2.0, 1.0)
+        assert classify(family) == RegimeSpec(Regime.EXPONENTIAL, 2.0, family)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             GrowthFamily("mystery", 1.0, 1.0)

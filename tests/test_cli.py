@@ -86,6 +86,12 @@ class TestExact:
         assert "ln n = 2.2471164185778946e+307, d = 4" in err
         assert "came back zero" in err
 
+    def test_count_below_d_plus_one_exits_one_naming_ln_n(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--ln-n", "1e140", "--d", str(10**20))
+        assert code == 1
+        assert out == ""
+        assert f"ln n = 1e+140, d = {10**20} gives ln F = 0.0" in err
+
 
 class TestAsym:
     def test_linear_regime_values(self, capsys):
@@ -149,6 +155,22 @@ class TestCompare:
         assert rows["pooled_height_ks"][2] < 0.2
         assert "asymptotic_ln_facets" in report
 
+    def test_rows_follow_from_reference_estimate_and_se(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--n", "12", "--d", "4", "--replicates", "50",
+                               "--seed", "7", "--regime", "superfactorial", "--format", "json")
+        assert code == 0
+        for _, reference, estimate, se, z, ratio in json.loads(out)["table"]["rows"]:
+            assert z == ((estimate - reference) / se if se is not None and se > 0 else None)
+            assert ratio == (estimate / reference if reference > 0 else None)
+
+    def test_one_replicate_has_no_z(self, capsys):
+        # the facet count's se is nan at one replicate, the origin flag's 0
+        _, out, _ = run_cli(capsys, "compare", "--n", "6", "--d", "2", "--replicates", "1",
+                            "--seed", "3", "--format", "json")
+        rows = json.loads(out)["table"]["rows"]
+        assert [row[3] for row in rows] == [None, 0.0, None]
+        assert [row[4] for row in rows] == [None, None, None]
+
 
 class TestScan:
     def test_euler_column(self, capsys):
@@ -198,6 +220,31 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["failures"] == 0
+
+
+class TestHumanFormat:
+    """The default format: the header, the report's fields, then the table."""
+
+    def test_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "--n", "20", "--d", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["schema_version: 1", "command: exact"]
+        assert "rel_tol: 1e-09" in lines
+        ln_f = expected_facets(PolytopeParams(20, 3)).ln()
+        assert lines[-2:] == ["n  d  h1  h2  ln_facets", f"20  3  -1.0  1.0  {ln_f}"]
+
+    def test_verify(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--points", "50")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["schema_version: 1", "command: verify"]
+        assert lines[2:5] == ["points: 50", "seed: 0", "failures: 0"]
+        assert lines[5] == "suite  checked  violations"
+        suites = [line.split("  ") for line in lines[6:]]
+        assert [row[0] for row in suites] == ["inequality_suites", "facet_count_oracles", "constants"]
+        assert [row[1:] for row in suites[1:]] == [["43", "0"], ["22", "0"]]
+        assert suites[0][2] == "0"
 
 
 class TestEmission:

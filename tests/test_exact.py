@@ -95,6 +95,17 @@ class TestParams:
         with pytest.raises(QuadratureError, match=re.escape("ln n = 2.2471164185778946e+307, d = 4")):
             expected_facets(params)
 
+    @pytest.mark.parametrize("d, got", [
+        (10**15, "came back zero"),
+        (10**20, "gives ln F = 0.0,"),
+        (10**30, "gives ln F = 0.0,"),
+        (10**100, "gives ln F = -3.28"),
+    ])
+    def test_full_range_count_below_d_plus_one_raises(self, d, got):
+        # every polytope has at least d + 1 facets; ln F = 0.0 is one facet
+        with pytest.raises(QuadratureError, match=re.escape(f"ln n = 1e+140, d = {d} {got}")):
+            expected_facets(PolytopeParams.from_log(1e140, d))
+
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
         assert p.n is None
