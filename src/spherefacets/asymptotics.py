@@ -40,7 +40,7 @@ from fractions import Fraction
 from .exact import MAX_DIMENSION, PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
 from .numerics import LOG_SQRT_2PI, _log_cap_constant, _log_gamma_half_ratio, log_norm_cdf
-from .solvers import bisect_root, newton_bracketed
+from .solvers import newton_bracketed
 
 __all__ = [
     "Regime",
@@ -297,7 +297,8 @@ def count_rate_roots(rho: float) -> tuple:
     The maximum value g* is positive for every rho > 0, and the rate is
     concave with second derivative at most -1, so both roots lie within
     w = sqrt(2 g*) of the argmax.  They are resolved to _XTOL * w, a
-    tolerance relative to their distance from the peak.
+    tolerance relative to their distance from the peak, by bracketed
+    Newton with the rate's r-derivative ``height_rate_prime``.
     """
     peak = rate_argmax(rho)
     top = count_rate(rho, peak)
@@ -308,7 +309,9 @@ def count_rate_roots(rho: float) -> tuple:
     hi = _first_negative(rate, peak, width, "upper root", rho)
     lo = _first_negative(rate, peak, -width, "lower root", rho)
     xtol = _XTOL * width
-    return bisect_root(rate, lo, peak, xtol=xtol), bisect_root(rate, peak, hi, xtol=xtol)
+    slope = functools.partial(height_rate_prime, rho)
+    return (newton_bracketed(rate, slope, lo, peak, xtol=xtol),
+            newton_bracketed(rate, slope, peak, hi, xtol=xtol))
 
 
 def _first_negative(f, origin: float, step: float, what: str, rho: float) -> float:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -129,32 +129,30 @@ class PolytopeParams:
 
 @dataclass(frozen=True)
 class HeightInterval:
-    """A height window [h1, h2] inside [-1, 1].
+    """A height window [h1, h2] inside [-1, 1], with its upper gaps.
 
-    Angular endpoints theta = arcsin(h) and upper gaps u = pi/2 - theta
-    are carried alongside the heights; windows hugging h = 1 can be
-    constructed from the gap directly (``upper_tail``) with precision the
-    height field itself cannot represent.
+    Each edge is stored as its height and its gap u = arccos(h) to h = 1,
+    the engine's coordinate.  Gaps are taken as acos(h), exact near h = 1,
+    unless given: the angles theta1, theta2 = arcsin(h) are accepted but
+    not stored, and stand for the gaps pi/2 - theta.  Windows hugging
+    h = 1 can be built from the gap directly (``upper_tail``), with
+    precision the height field itself cannot represent.
     """
 
     h1: float
     h2: float
-    theta1: float = None  # type: ignore[assignment]
-    theta2: float = None  # type: ignore[assignment]
-    gap1: float = None  # type: ignore[assignment]  # pi/2 - theta1 (larger gap)
-    gap2: float = None  # type: ignore[assignment]  # pi/2 - theta2
+    theta1: InitVar[float] = None  # type: ignore[assignment]
+    theta2: InitVar[float] = None  # type: ignore[assignment]
+    gap1: float = None  # type: ignore[assignment]  # arccos(h1), the larger gap
+    gap2: float = None  # type: ignore[assignment]  # arccos(h2)
 
-    def __post_init__(self):
+    def __post_init__(self, theta1, theta2):
         if not (-1.0 <= self.h1 <= self.h2 <= 1.0):
             raise ValueError(f"need -1 <= h1 <= h2 <= 1, got [{self.h1}, {self.h2}]")
-        if self.theta1 is None:
-            object.__setattr__(self, "theta1", math.asin(self.h1))
-        if self.theta2 is None:
-            object.__setattr__(self, "theta2", math.asin(self.h2))
-        if self.gap1 is None:
-            object.__setattr__(self, "gap1", HALF_PI - self.theta1)
-        if self.gap2 is None:
-            object.__setattr__(self, "gap2", HALF_PI - self.theta2)
+        for name, h, theta in (("gap1", self.h1, theta1), ("gap2", self.h2, theta2)):
+            if getattr(self, name) is None:
+                gap = math.acos(h) if theta is None else HALF_PI - theta
+                object.__setattr__(self, name, gap)
         if not 0.0 <= self.gap2 <= self.gap1:
             raise ValueError("angular gaps are inconsistent with the window order")
 
@@ -169,13 +167,13 @@ class HeightInterval:
         """The window [sin(pi/2 - gap), 1], with the gap carried exactly."""
         if not 0.0 <= gap <= math.pi:
             raise ValueError(f"gap must lie in [0, pi], got {gap}")
-        return cls(math.cos(gap), 1.0, HALF_PI - gap, HALF_PI, gap, 0.0)
+        return cls(math.cos(gap), 1.0, gap1=gap, gap2=0.0)
 
     def is_empty(self) -> bool:
         return self.gap1 == self.gap2
 
 
-FULL_RANGE = HeightInterval(-1.0, 1.0, -HALF_PI, HALF_PI, math.pi, 0.0)
+FULL_RANGE = HeightInterval(-1.0, 1.0)  # the gaps pi and 0, exactly
 
 
 class _GapIntegrand:
@@ -448,7 +446,7 @@ def typical_height_cdf(law: TypicalHeightLaw, h: float) -> float:
     """P(typical height <= h)."""
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
-    gap = HALF_PI - math.asin(h)
+    gap = math.acos(h)
     return law._mass_of_gaps(math.log(gap) if gap > 0.0 else _NEG_INF, _LN_PI)
 
 

@@ -145,6 +145,13 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < stop:
+            if not h > 0.0:
+                # a lost value (a = 5e18, b = 1/2, x = 1 gives -8.5e19): name it,
+                # rather than let its log raise a bare domain error
+                raise ConvergenceError(
+                    f"incomplete beta continued fraction is not positive ({h!r}) "
+                    f"at a={a}, b={b}, x={x}"
+                )
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}"

@@ -1,45 +1,26 @@
-"""Scalar solvers: bracketed bisection, safeguarded Newton, golden section.
+"""Scalar solvers: Newton in a sign-change bracket, golden section.
 
-Small, dependency-free routines tuned for the well-behaved objectives in
-this package (concave rate functions, monotone CDFs, unimodal
-log-integrands).  They favor guaranteed convergence over iteration count.
+One root finder serves every root: ``newton_bracketed`` bisects whenever
+a Newton step would leave its bracket or the slope is zero, so a slope of
+0 makes it plain bisection.  Small, dependency-free routines tuned for
+the well-behaved objectives in this package (concave rate functions,
+monotone CDFs, unimodal log-integrands).  They favor guaranteed
+convergence over iteration count.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["bisect_root", "newton_bracketed", "golden_max", "BracketError"]
+__all__ = ["newton_bracketed", "golden_max", "BracketError"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# step caps; a search stops sooner once its interval is below xtol
-_BISECT_STEPS = 200
+# step cap; the search stops sooner once its interval is below xtol
 _GOLDEN_STEPS = 300
 
 
 class BracketError(ValueError):
     """A root bracket could not be established or was invalid."""
-
-
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-10):
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or hi - lo < xtol:
-            return mid
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 def newton_bracketed(
@@ -48,8 +29,9 @@ def newton_bracketed(
 ):
     """Newton iteration confined to a sign-change bracket.
 
-    Steps that leave the bracket, or fail to shrink it fast enough, fall
-    back to bisection, so convergence is guaranteed for continuous f.
+    Steps that leave the bracket or fail to shrink it fast enough fall
+    back to bisection, as do zero slopes, so convergence is guaranteed
+    for continuous f.  A root at an end of [lo, hi] is returned as that end.
     A Newton step below xtol/2 ends it: Newton from one side of a noisy
     f (a quadrature) may never close the bracket.
     """

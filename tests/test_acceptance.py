@@ -34,7 +34,7 @@ from spherefacets import (
     rate_argmax,
     typical_height_cdf,
 )
-from spherefacets.solvers import bisect_root
+from spherefacets.solvers import newton_bracketed
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -128,7 +128,10 @@ class TestCriterion5:
             worst_f = max(worst_f, abs(height_rate_prime(rho, r_peak)))
             lo, hi = count_rate_roots(rho)
             worst_g = max(worst_g, abs(count_rate(rho, lo)), abs(count_rate(rho, hi)))
-        threshold = bisect_root(lambda r: count_rate(r, 0.0), 2.0, 5.0, xtol=1e-10)
+        threshold = newton_bracketed(
+            lambda r: count_rate(r, 0.0), lambda r: math.log1p(1.0 / r) - math.log(2.0),
+            2.0, 5.0, xtol=1e-10,
+        )
         ok = worst_f < 1e-8 and worst_g < 1e-8 and abs(threshold - 3.4) <= 0.05
         report(
             5, ok,

@@ -34,10 +34,11 @@ from spherefacets import (
     typical_height_asymptotic,
     typical_height_quantile,
 )
+from spherefacets.asymptotics import height_rate_second
 from spherefacets.exact import log_binomial
 from spherefacets.logreal import LogReal
 from spherefacets.numerics import log_norm_cdf
-from spherefacets.solvers import bisect_root
+from spherefacets.solvers import newton_bracketed
 
 # (n, d) on a growth family at dimension d
 FAMILY_AT = {
@@ -127,6 +128,13 @@ class TestRateFunctions:
         r = rate_argmax(rho)
         assert abs(height_rate_prime(rho, r)) < 1e-8
 
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("r", [-2.0, 0.0, 1.5, 4.0])
+    def test_second_derivative_is_slope_of_first(self, rho, r):
+        step = 1e-5
+        central = (height_rate_prime(rho, r + step) - height_rate_prime(rho, r - step)) / (2 * step)
+        assert height_rate_second(rho, r) == pytest.approx(central, rel=1e-6)
+
     def test_argmax_monotone_in_rho(self):
         vals = [rate_argmax(r) for r in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -154,7 +162,10 @@ class TestRateFunctions:
 
     def test_negative_count_rate_threshold(self):
         """The origin value g(0) changes sign near rho = 3.4."""
-        root = bisect_root(lambda r: count_rate(r, 0.0), 2.0, 5.0, xtol=1e-10)
+        root = newton_bracketed(
+            lambda r: count_rate(r, 0.0), lambda r: math.log1p(1.0 / r) - math.log(2.0),
+            2.0, 5.0, xtol=1e-10,
+        )
         assert root == pytest.approx(3.4, abs=0.05)
 
     def test_argmax_and_roots_at_every_decade(self):
@@ -451,8 +462,11 @@ class TestHausdorff:
             def ln_count(ln_delta):
                 return expected_facets(p, HeightInterval(-1.0, -math.expm1(ln_delta))).ln()
 
-            # the bracket starts at approx, so a root in it is a ratio of at least 1
-            ln_star = bisect_root(ln_count, math.log(approx), math.log(2.0 * approx), xtol=1e-2)
+            # the bracket starts at approx, so a root in it is a ratio of at least
+            # 1; with no slope at hand, slope 0 makes every step a bisection step
+            ln_star = newton_bracketed(
+                ln_count, lambda x: 0.0, math.log(approx), math.log(2.0 * approx), xtol=1e-2
+            )
             ratios.append(math.exp(ln_star) / approx)
         assert ratios[-1] > 1.0
         assert all(b < a for a, b in zip(ratios, ratios[1:]))

@@ -92,6 +92,12 @@ class TestExact:
         assert out == ""
         assert f"ln n = 1e+140, d = {10**20} gives ln F = 0.0" in err
 
+    def test_lost_continued_fraction_exits_one_naming_a(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--ln-n", "45", "--d", str(10**19))
+        assert code == 1
+        assert out == ""
+        assert "continued fraction is not positive" in err and "a=5e+18" in err
+
 
 class TestAsym:
     def test_linear_regime_values(self, capsys):

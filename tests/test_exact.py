@@ -9,6 +9,7 @@ both derived by elementary antidifferentiation; at h = 1 they reduce to
 the classic totals n and 2n - 4.
 """
 
+import dataclasses
 import math
 import re
 import sys
@@ -32,7 +33,8 @@ from spherefacets import (
 )
 from spherefacets import exact, origin_outside_prob, quadrature
 from spherefacets.exact import log_binomial
-from spherefacets.solvers import bisect_root
+from spherefacets.numerics import ConvergenceError
+from spherefacets.solvers import newton_bracketed
 
 
 def facets_below_d2(n: int, h: float) -> float:
@@ -106,6 +108,13 @@ class TestParams:
         with pytest.raises(QuadratureError, match=re.escape(f"ln n = 1e+140, d = {d} {got}")):
             expected_facets(PolytopeParams.from_log(1e140, d))
 
+    @pytest.mark.parametrize("d, a", [(10**17, "5e+16"), (10**19, "5e+18")])
+    def test_lost_continued_fraction_raises_naming_its_parameters(self, d, a):
+        # at ln n = 45 the incomplete beta continued fraction comes back
+        # negative: the error names its parameters, not a math domain error
+        with pytest.raises(ConvergenceError, match=rf"not positive .* at a={re.escape(a)}, b=0\.5"):
+            expected_facets(PolytopeParams.from_log(45.0, d))
+
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
         assert p.n is None
@@ -137,6 +146,31 @@ class TestWindows:
         assert w.is_empty()
         assert height_integral(p, w).is_zero()
         assert expected_facets(p, w).is_zero()
+
+    def test_stores_heights_and_gaps_only(self):
+        names = [f.name for f in dataclasses.fields(HeightInterval)]
+        assert names == ["h1", "h2", "gap1", "gap2"]
+
+    def test_gaps_from_heights_are_arccos(self):
+        """A window built from heights takes its gaps as acos(h), exact near
+        h = 1, so it counts what the window built from that gap counts."""
+        p = PolytopeParams(10**6, 3)
+        h = 1.0 - 1e-9
+        w = HeightInterval(h, 1.0)
+        assert (w.gap1, w.gap2) == (math.acos(h), 0.0)
+        tail = HeightInterval.upper_tail(math.acos(h))
+        assert expected_facets(p, w).ln() == expected_facets(p, tail).ln()
+
+    def test_from_theta(self):
+        half_pi = 0.5 * math.pi
+        w = HeightInterval.from_theta(-0.3, 1.2)
+        assert (w.h1, w.h2) == (math.sin(-0.3), math.sin(1.2))
+        assert (w.gap1, w.gap2) == (half_pi + 0.3, half_pi - 1.2)
+        # the angles are accepted by keyword too, and stand for the gaps
+        assert HeightInterval(h1=w.h1, h2=w.h2, theta1=-0.3, theta2=1.2) == w
+        for theta1, theta2 in ((0.4, 0.2), (-1.6, 0.0), (0.0, 1.6)):
+            with pytest.raises(ValueError, match="theta1 <= theta2"):
+                HeightInterval.from_theta(theta1, theta2)
 
     def test_upper_tail_carries_gap_exactly(self):
         w = HeightInterval.upper_tail(1e-12)
@@ -452,8 +486,9 @@ class TestTypicalHeightLaw:
     def test_median_matches_gamma_limit(self):
         """At (1e6, 3) the cap statistic of the median height sits at the
         Gamma(2) median to a few parts in 1e6."""
-        gamma2_median = bisect_root(
-            lambda t: 1 - math.exp(-t) * (1 + t) - 0.5, 0.1, 10.0, xtol=1e-13
+        gamma2_median = newton_bracketed(
+            lambda t: 1 - math.exp(-t) * (1 + t) - 0.5, lambda t: t * math.exp(-t),
+            0.1, 10.0, xtol=1e-13,
         )
         n = 10**6
         law = TypicalHeightLaw.for_params(PolytopeParams(n, 3))

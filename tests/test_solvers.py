@@ -4,23 +4,18 @@ import math
 
 import pytest
 
-from spherefacets.solvers import BracketError, bisect_root, golden_max, newton_bracketed
-
-
-class TestBisect:
-    def test_sqrt_two(self):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-    def test_endpoint_root(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-
-    def test_requires_sign_change(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+from spherefacets.solvers import BracketError, golden_max, newton_bracketed
 
 
 class TestNewtonBracketed:
+    def test_endpoint_roots(self):
+        assert newton_bracketed(lambda x: x, lambda x: 1.0, 0.0, 1.0) == 0.0
+        assert newton_bracketed(lambda x: x - 1.0, lambda x: 1.0, 0.0, 1.0) == 1.0
+
+    def test_zero_slope_bisects(self):
+        root = newton_bracketed(lambda x: x * x - 2.0, lambda x: 0.0, 0.0, 2.0, xtol=1e-12)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
+
     def test_cubic(self):
         f = lambda x: x**3 - 2.0 * x - 5.0
         df = lambda x: 3.0 * x**2 - 2.0
