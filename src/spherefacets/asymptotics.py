@@ -96,7 +96,8 @@ class GrowthFamily:
     kinds: ``n_minus_d_power`` (n - d = coef * d^power),
     ``n_power`` (n = coef * d^power), ``log_n_power``
     (ln n = coef * d^power), ``log_n_dlogd``
-    (ln n = coef * d * ln d), ``d_fixed`` (d = coef, n free).
+    (ln n = coef * d * ln d), ``d_fixed`` (d = coef, an integer >= 2,
+    n free).
     """
 
     kind: str
@@ -109,6 +110,8 @@ class GrowthFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not self.coef > 0:
             raise AmbiguousFamilyError(f"family coefficient must be positive: {self}")
+        if self.kind == "d_fixed" and not (self.coef >= 2 and float(self.coef).is_integer()):
+            raise ValueError(f"a fixed dimension must be an integer >= 2, got d={self.coef}")
 
 
 _RHS_RE = re.compile(
@@ -132,9 +135,10 @@ def parse_family(text: str) -> GrowthFamily:
         lhs = "ln(n)"
     if lhs == "d":
         try:
-            return GrowthFamily("d_fixed", float(rhs))
+            coef = float(rhs)
         except ValueError:
             raise ValueError(f"cannot parse fixed dimension in {text!r}") from None
+        return GrowthFamily("d_fixed", coef)
     if lhs == "n-d":
         try:
             return GrowthFamily("n_minus_d_power", float(rhs), 0.0)
@@ -170,12 +174,13 @@ class RegimeSpec:
     family: GrowthFamily | None = None
 
     def __post_init__(self):
-        needs_rho = {Regime.SUBLINEAR_SQRT, Regime.LINEAR, Regime.EXPONENTIAL}
-        if self.tag in needs_rho and self.rho is None:
-            raise ValueError(f"regime {self.tag.value} requires a rho value")
-        if self.rho is not None and self.tag in {Regime.LINEAR, Regime.EXPONENTIAL}:
-            if not self.rho > 0:
-                raise ValueError(f"rho must be positive for {self.tag.value}")
+        if self.rho is None:
+            if self.tag in {Regime.SUBLINEAR_SQRT, Regime.LINEAR, Regime.EXPONENTIAL}:
+                raise ValueError(f"regime {self.tag.value} requires a rho value")
+        elif not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got rho={self.rho}")
+        elif self.tag in {Regime.LINEAR, Regime.EXPONENTIAL} and not self.rho > 0:
+            raise ValueError(f"rho must be positive for {self.tag.value}, got rho={self.rho}")
 
     @classmethod
     def from_tag(cls, name: str, rho: float | None = None) -> "RegimeSpec":
@@ -229,8 +234,8 @@ def classify(family: GrowthFamily) -> RegimeSpec:
 
 def height_rate(rho: float, r: float) -> float:
     """rho * ln Phi(r) - r^2 / 2; concentration rate of the typical height."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got rho={rho}")
     return rho * log_norm_cdf(r) - 0.5 * r * r
 
 
@@ -257,9 +262,7 @@ def _entropy(rho: float) -> float:
 
 def count_rate(rho: float, r: float) -> float:
     """Exponential growth rate (per unit dimension) of facets below r/sqrt(d)."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    return _entropy(rho) + height_rate(rho, r)
+    return height_rate(rho, r) + _entropy(rho)  # height_rate checks rho first
 
 
 def rate_argmax(rho: float) -> float:
@@ -269,11 +272,11 @@ def rate_argmax(rho: float) -> float:
     ln rho + ln(phi/Phi)(r) - x strictly decreases, with derivative
     -r (r + phi/Phi) - 1, and it changes sign on
     [min(ln rho - 1.23, -1), ln(2 + sqrt(2 max(ln rho, 0)))], so bracketed
-    Newton in x finds r to relative precision for every normal float
-    rho > 0.
+    Newton in x finds r to relative precision for every finite normal
+    float rho > 0.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got rho={rho}")
     ln_rho = math.log(rho)
 
     def residual(x):

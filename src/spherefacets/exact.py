@@ -33,8 +33,8 @@ refined only where the window needs it.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass
 
@@ -75,6 +75,7 @@ MAX_DIMENSION = 10**154
 class PolytopeParams:
     """Point count and ambient dimension, n > d >= 2, d <= ``MAX_DIMENSION``.
 
+    d is any integer by ``operator.index`` (numpy's too), kept as an int.
     ``n`` may be omitted in favor of ``ln_n`` for counts beyond float
     range (needed once n grows like exp(rho * d)).
     """
@@ -84,8 +85,13 @@ class PolytopeParams:
     ln_n: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and 2 <= self.d <= MAX_DIMENSION):
+        try:  # a bool becomes 0 or 1, below 2
+            d = operator.index(self.d)
+        except TypeError:
+            d = None
+        if d is None or not 2 <= d <= MAX_DIMENSION:
             raise ValueError(f"dimension must be an integer in [2, 10**154], got d={self.d}")
+        object.__setattr__(self, "d", int(d))
         if self.n is not None:
             try:
                 n = float(self.n)
@@ -227,29 +233,6 @@ class _GapIntegrand:
         return self.p_out * log_s - math.exp(arg)
 
 
-def _locate_peak(f_log, lo: float, hi: float, xtol: float):
-    """golden_max of f_log on [lo, hi], also when f_log is -inf at its probes.
-
-    E is -inf where ln n + ln(-ln G) overflows exp, an upper stretch of
-    any segment.  golden_max never evaluates the ends and moves right
-    past -inf probes, so a peak left of both probes would be lost; the
-    search is then rerun below the edge of the finite stretch.
-    """
-    mode, peak = golden_max(f_log, lo, hi, xtol=xtol)
-    if peak != _NEG_INF or f_log(lo) == _NEG_INF:
-        return mode, peak
-    a, b = lo, hi  # f_log(a) finite, f_log(b) = -inf
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if f_log(mid) == _NEG_INF:
-            b = mid
-        else:
-            a = mid
-    return golden_max(f_log, lo, a, xtol=xtol)
-
-
 @dataclass(frozen=True)
 class _Segment:
     """A log-integrand on [lo, hi] with its peak already located.
@@ -257,8 +240,8 @@ class _Segment:
     The variable is the gap u for a narrow window, else t = ln(u).  A
     segment with a peak of -inf gets no panels: E is -inf exactly on an
     upper stretch of gaps, because ln n + ln(-ln G) grows with the gap,
-    and ``_locate_peak`` returns -inf only when f_log(lo) is -inf, so
-    such a segment is -inf throughout.
+    and ``golden_max`` searches below that stretch when f_log(lo) is
+    finite, so such a segment has no mass in float.
     """
 
     f_log: Callable[[float], float]
@@ -280,11 +263,11 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
     is a factor exp(-750) of the total, far below any quadrature tolerance.
     """
     if 0.0 < u_lo and u_hi <= 2.0 * u_lo:
-        mode, peak = _locate_peak(f_u, u_lo, u_hi, max((u_hi - u_lo) * 1e-12, 1e-300))
+        mode, peak = golden_max(f_u, u_lo, u_hi, xtol=max((u_hi - u_lo) * 1e-12, 1e-300))
         return _Segment(f_u, u_lo, u_hi, mode, peak)
     f_t = lambda t: f_u.at_log_gap(t) + t
     t_lo = math.log(u_lo) if u_lo > 0.0 else min(f_u.t_floor, t_hi - 1.0)
-    mode, peak = _locate_peak(f_t, t_lo, t_hi, 1e-10)
+    mode, peak = golden_max(f_t, t_lo, t_hi, xtol=1e-10)
     if u_lo == 0.0 and peak != _NEG_INF:
         floor, t_lo, step = t_lo, mode - 1.0, 1.0
         while t_lo > floor and f_t(t_lo) > peak - 750.0:
@@ -337,14 +320,15 @@ def log_binomial(params: PolytopeParams) -> float:
     """ln binom(n, d); uses the log-only representation when n has one.
 
     With n given, binom(n, d) = binom(n, k) for k = min(d, n - d) is the
-    product of the k factors (n - k + j)/j, summed in log up to k = 100 000.
+    product of the k factors (n - k + j)/j, and their logs are summed by
+    fsum, in O(k) time.  With ln n alone it is d ln n - ln d!, less the
+    terms ln(1 - j/n) while they are above float resolution (ln n < 50).
     """
     d = params.d
     if params.n is not None:
         n = params.n
         k = int(min(d, n - d))
-        if k <= 100_000:
-            return math.fsum(math.log((n - k + j) / j) for j in range(1, k + 1))
+        return math.fsum(math.log((n - k + j) / j) for j in range(1, k + 1))
     total = d * params.ln_n - math.lgamma(d + 1)
     if params.ln_n < 50.0:
         inv_n = math.exp(-params.ln_n)
@@ -386,35 +370,35 @@ def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE)
 class TypicalHeightLaw:
     """Height distribution of the typical facet: CDF(h) = J[-1, h] / J[-1, 1].
 
-    A law is one partition: the converged panels of the full range, one
-    segment in t = ln(gap), which ``for_params`` keeps from integrating
-    the normalizer (a law built from a normalizer alone integrates it on
-    its first query).  Every query is a slice of that partition: the
-    panels wholly inside the window are reused as they are, the one or
-    two pieces the window cuts at its edges are evaluated fresh, and the
-    slice is refined until its error is within the quadrature's relative
-    target of its own mass.  Refinements are not stored.
+    A law is one partition, built with it: the converged panels of the
+    full range, one segment in t = ln(gap).  The normalizer J is the
+    partition's total; one given (as ``height_integral(params)``) must
+    agree with it within ``REL_TOL`` in ln, else ValueError names both.
+    Every query is a slice of the partition: panels wholly inside the
+    window are reused, the one or two the window cuts are evaluated
+    fresh, and the slice is refined until its error is within
+    ``REL_TOL`` of its own mass.  Refinements are not stored.
     """
 
     params: PolytopeParams
-    normalizer: LogReal
+    normalizer: LogReal | None = None
 
     def __post_init__(self):
-        if not self.normalizer.sign == 1:
-            raise ValueError("normalizer must be positive")
+        total_ln, *partition = _integrated_segment(_GapIntegrand(self.params), 0.0, math.pi, _LN_PI)
+        if self.normalizer is None:
+            self.normalizer = LogReal.from_log(total_ln)
+        ln_j = self.normalizer.log_abs
+        if not (total_ln > _NEG_INF and abs(ln_j - total_ln) <= quadrature.REL_TOL):
+            name = _integral_name(self.params, 0.0, math.pi, _LN_PI)
+            raise ValueError(f"normalizer ln J = {ln_j!r} is not the {name}, "
+                             f"ln J = {total_ln!r}, within {quadrature.REL_TOL}")
+        # (segment, converged partition) of the full range of gaps
+        self._partition = tuple(partition)
 
     @classmethod
     def for_params(cls, params: PolytopeParams) -> "TypicalHeightLaw":
-        total_ln, *partition = _integrated_segment(_GapIntegrand(params), 0.0, math.pi, _LN_PI)
-        law = cls(params, LogReal.from_log(total_ln))
-        law._partition = tuple(partition)
-        return law
-
-    @functools.cached_property
-    def _partition(self) -> tuple:
-        """(segment, converged partition) of the full range of gaps, built
-        as ``for_params`` builds it."""
-        return TypicalHeightLaw.for_params(self.params)._partition
+        """The law of ``params``, normalized by its own partition's total."""
+        return cls(params)
 
     def _mass_of_gaps(self, t_lo: float, t_hi: float) -> float:
         """Probability of gaps pi/2 - theta in [exp(t_lo), exp(t_hi)].
@@ -471,7 +455,6 @@ def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
         seg.hi,
         x0=seg.mode,
         xtol=1e-10 / math.pi,
-        max_iter=80,
     )
     return math.cos(math.exp(t))
 

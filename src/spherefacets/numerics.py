@@ -54,7 +54,7 @@ _MAX_TERMS = 500
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative scheme hit max_iter before reaching its tolerance."""
+    """An iterative scheme hit its step cap before reaching its tolerance."""
 
 
 # ----------------------------------------------------------------------

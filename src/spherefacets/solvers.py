@@ -2,8 +2,10 @@
 
 One root finder serves every root: ``newton_bracketed`` bisects whenever
 a Newton step would leave its bracket or the slope is zero, so a slope of
-0 makes it plain bisection.  Small, dependency-free routines tuned for
-the well-behaved objectives in this package (concave rate functions,
+0 makes it plain bisection, and it raises rather than guess when its
+steps run out.  ``golden_max`` serves every peak, also one beside a
+stretch where f is -inf, at either end.  Small routines tuned for the
+well-behaved objectives in this package (concave rate functions,
 monotone CDFs, unimodal log-integrands).  They favor guaranteed
 convergence over iteration count.
 """
@@ -12,10 +14,13 @@ from __future__ import annotations
 
 import math
 
+from .numerics import ConvergenceError
+
 __all__ = ["newton_bracketed", "golden_max", "BracketError"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# step cap; the search stops sooner once its interval is below xtol
+# step caps; each search stops sooner once its interval is below xtol
+_NEWTON_STEPS = 100
 _GOLDEN_STEPS = 300
 
 
@@ -25,7 +30,7 @@ class BracketError(ValueError):
 
 def newton_bracketed(
     f, fprime, lo: float, hi: float, x0: float | None = None,
-    xtol: float = 1e-10, max_iter: int = 100,
+    xtol: float = 1e-10,
 ):
     """Newton iteration confined to a sign-change bracket.
 
@@ -33,7 +38,8 @@ def newton_bracketed(
     back to bisection, as do zero slopes, so convergence is guaranteed
     for continuous f.  A root at an end of [lo, hi] is returned as that end.
     A Newton step below xtol/2 ends it: Newton from one side of a noisy
-    f (a quadrature) may never close the bracket.
+    f (a quadrature) may never close the bracket.  If neither ends it in
+    ``_NEWTON_STEPS`` steps, ConvergenceError names the bracket and xtol.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -44,7 +50,7 @@ def newton_bracketed(
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     x = x0 if x0 is not None else 0.5 * (lo + hi)
     x = min(max(x, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         fx = f(x)
         if fx == 0.0:
             return x
@@ -64,24 +70,31 @@ def newton_bracketed(
                 x = cand
                 continue
         x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"bracket [{lo}, {hi}] not closed to xtol={xtol} in {_NEWTON_STEPS} steps")
 
 
 def golden_max(f, a: float, b: float, xtol: float = 1e-12):
     """Maximum of a unimodal f on [a, b] by golden-section search.
 
-    Returns (x, f(x)).  Tolerance is absolute in x.  -inf values are
-    tolerated (they simply lose the comparisons).
+    Returns (x, f(x)).  Tolerance is absolute in x.  f may be -inf on a
+    stretch at either end of [a, b]: -inf values lose the comparisons,
+    and f(a) is evaluated once, at the first tie of two -inf probes.
+    If it is finite the stretch is the upper one and ties move the
+    search left, else right.
     """
     if b < a:
         raise ValueError(f"empty interval [{a}, {b}]")
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
+    fa = None  # f(a) at the first -inf tie
     for _ in range(_GOLDEN_STEPS):
         if b - a < xtol:
             break
-        if fc > fd:
+        if fa is None and fc == fd == -math.inf:
+            fa = f(a)
+        if fc > fd or (fc == fd == -math.inf and fa > -math.inf):
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)

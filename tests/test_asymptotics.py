@@ -58,6 +58,7 @@ class TestClassify:
             ("n-d=0.5*d", Regime.LINEAR, 0.5),
             ("n=2*d", Regime.LINEAR, 1.0),
             ("n=d^2", Regime.SUBEXPONENTIAL, None),
+            ("n-d=d^2", Regime.SUBEXPONENTIAL, None),
             ("ln(n)=d", Regime.EXPONENTIAL, 1.0),
             ("ln(n)=0.5*d^0.5", Regime.SUBEXPONENTIAL, None),
             ("ln(n)=2*d^1.5", Regime.SUPERFACTORIAL, None),
@@ -79,10 +80,38 @@ class TestClassify:
         with pytest.raises(AmbiguousFamilyError):
             classify(parse_family("n=d"))
 
+    @pytest.mark.parametrize("family", [
+        GrowthFamily("n_minus_d_power", 1.0, -1.0),
+        parse_family("n=d^0.5"),
+    ])
+    def test_families_off_every_regime_are_ambiguous(self, family):
+        with pytest.raises(AmbiguousFamilyError):
+            classify(family)
+
+    def test_zero_coefficient_is_ambiguous(self):
+        with pytest.raises(AmbiguousFamilyError):
+            GrowthFamily("n_power", 0.0)
+
     def test_parse_errors(self):
         for bad in ("frogs", "n-d", "n=2^d", "q=d", "n-d=d*ln(d)"):
             with pytest.raises(ValueError):
                 parse_family(bad)
+        with pytest.raises(ValueError, match=re.escape("cannot parse fixed dimension in 'd=x'")):
+            parse_family("d=x")
+
+    def test_lnn_alias(self):
+        assert parse_family("lnn=2*d") == parse_family("ln(n)=2*d")
+
+    @pytest.mark.parametrize("text", ["d=2.5", "d=1", "d=0.5", "d=inf"])
+    def test_fixed_dimension_is_an_integer_of_at_least_two(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"got d={float(text[2:])}")):
+            parse_family(text)
+
+    def test_fixed_dimension(self):
+        assert parse_family("d=2") == GrowthFamily("d_fixed", 2.0)
+        assert parse_family("d=7.0") == GrowthFamily("d_fixed", 7.0)
+        with pytest.raises(ValueError, match="integer >= 2"):
+            GrowthFamily("d_fixed", 3.5)
 
     def test_exponential_family_is_log_n_power_one(self):
         family = parse_family("ln(n)=2*d")
@@ -99,8 +128,22 @@ class TestClassify:
         with pytest.raises(ValueError):
             RegimeSpec.from_tag("exponential", rho=-1.0)
 
+    @pytest.mark.parametrize("tag", ["sublinear_sqrt", "linear", "exponential"])
+    @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+    def test_regime_spec_refuses_a_non_finite_rho(self, tag, rho):
+        with pytest.raises(ValueError, match=f"rho must be finite, got rho={rho}"):
+            RegimeSpec.from_tag(tag, rho)
+
 
 class TestRateFunctions:
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
+    def test_rates_refuse_rho_outside_finite_positives(self, rho):
+        message = f"rho must be finite and positive, got rho={rho}"
+        for call in (lambda: height_rate(rho, 0.5), lambda: count_rate(rho, 0.5),
+                     lambda: rate_argmax(rho), lambda: count_rate_roots(rho)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_count_rate_at_origin_rho_one(self):
         """(rho+1)ln(rho+1) - rho ln rho - rho ln 2 = ln 2 at rho = 1."""
         assert count_rate(1.0, 0.0) == pytest.approx(math.log(2.0), rel=1e-14)

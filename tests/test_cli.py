@@ -123,6 +123,11 @@ class TestAsym:
         assert report["regime"] == "superfactorial"
         assert report["ln_facets"] == pytest.approx(math.log(2e6), rel=1e-9)
 
+    def test_fixed_dimension_family_needs_an_integer(self, capsys):
+        code, _, err = run_cli(capsys, "asym", "--family", "d=2.5", "--n", "1000", "--d", "3")
+        assert code == 1
+        assert "a fixed dimension must be an integer >= 2, got d=2.5" in err
+
     def test_regime_never_guessed(self, capsys):
         code, _, err = run_cli(capsys, "asym", "--n", "100", "--d", "10")
         assert code == 1

@@ -31,7 +31,7 @@ from spherefacets import (
     typical_height_cdf,
     typical_height_quantile,
 )
-from spherefacets import exact, origin_outside_prob, quadrature
+from spherefacets import LogReal, exact, origin_outside_prob, quadrature
 from spherefacets.exact import log_binomial
 from spherefacets.numerics import ConvergenceError
 from spherefacets.solvers import newton_bracketed
@@ -131,6 +131,22 @@ class TestParams:
         assert log_binomial(big) == pytest.approx(
             10 * 500.0 - math.lgamma(11), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n, d", [(10**7, 10**6), (200002, 100001), (300000, 150000)])
+    def test_log_binomial_of_many_factors_against_mpmath(self, n, d):
+        # k = min(d, n - d) above 1e5 factors: the error in ln C is the
+        # relative error of C, held to 2e-10, within the 1e-9 count contract
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.binomial(n, d))
+            assert abs(log_binomial(PolytopeParams(n, d)) - want) <= 2e-10
+
+    def test_dimension_is_any_integer_by_index(self):
+        p = PolytopeParams(10, np.int64(3))
+        assert p.d == 3 and type(p.d) is int
+        assert p == PolytopeParams(10, 3)
+        for d in (True, False, 3.0, "3", np.float64(3.0)):
+            with pytest.raises(ValueError, match=re.escape(f"got d={d}")):
+                PolytopeParams(10, d)
 
 
 class TestWindows:
@@ -667,5 +683,16 @@ class TestLawPartition:
         params = PolytopeParams(50, 4)
         law = TypicalHeightLaw(params, height_integral(params))
         built = TypicalHeightLaw.for_params(params)
+        assert law == built == TypicalHeightLaw(params)
         for h in (-0.3, 0.2, 0.8):
             assert typical_height_cdf(law, h) == typical_height_cdf(built, h)
+
+    @pytest.mark.parametrize("ln_j", [0.0, -math.inf])
+    def test_mismatched_normalizer_raises_naming_both(self, ln_j):
+        params = PolytopeParams(50, 4)
+        total = height_integral(params).ln()
+        with pytest.raises(ValueError, match=re.escape(
+            f"normalizer ln J = {ln_j!r} is not the height integral at n = 50, d = 4 "
+            f"over the gaps [0.0, {math.pi!r}], ln J = {total!r}"
+        )):
+            TypicalHeightLaw(params, LogReal.from_log(ln_j))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from spherefacets.numerics import ConvergenceError
 from spherefacets.solvers import BracketError, golden_max, newton_bracketed
 
 
@@ -38,13 +39,20 @@ class TestNewtonBracketed:
             return math.tanh(4.0 * (x - 0.3)) + 1e-12 * math.sin(1e6 * x)
 
         df = lambda x: 4.0 / math.cosh(4.0 * (x - 0.3)) ** 2
-        root = newton_bracketed(f, df, -1.5, 1.5, x0=1.0, xtol=1e-10, max_iter=80)
+        root = newton_bracketed(f, df, -1.5, 1.5, x0=1.0, xtol=1e-10)
         assert root == pytest.approx(0.3, abs=1e-10)
         assert len(calls) <= 12
 
     def test_requires_sign_change(self):
         with pytest.raises(BracketError):
             newton_bracketed(lambda x: 1.0, lambda x: 0.0, 0.0, 1.0)
+
+    def test_unclosed_bracket_raises_naming_it(self):
+        # a jump with no zero: at xtol = 0 bisection stalls between two
+        # adjacent floats, and the step cap ends it loudly
+        step = lambda x: -1.0 if x < 0.3 else 1.0
+        with pytest.raises(ConvergenceError, match=r"bracket \[0\.299.*, 0\.3\] not closed to xtol=0\.0"):
+            newton_bracketed(step, lambda x: 0.0, 0.0, 1.0, xtol=0.0)
 
 
 class TestGoldenMax:
@@ -61,3 +69,15 @@ class TestGoldenMax:
         f = lambda x: -math.inf if x < 0.5 else -(x - 0.8) ** 2
         x, _ = golden_max(f, 0.0, 1.0, xtol=1e-12)
         assert x == pytest.approx(0.8, abs=1e-9)
+
+    # both first probes, at 0.382 and 0.618, fall in the -inf stretch
+    @pytest.mark.parametrize("f, argmax", [
+        (lambda x: -math.inf if x > 0.3 else -(x - 0.2) ** 2, 0.2),
+        (lambda x: -math.inf if x > 0.3 else x, 0.3),
+        (lambda x: -math.inf if x < 0.7 else -(x - 0.8) ** 2, 0.8),
+        (lambda x: -math.inf if x < 0.7 else -x, 0.7),
+    ])
+    def test_neg_inf_stretch_over_both_probes(self, f, argmax):
+        x, fx = golden_max(f, 0.0, 1.0, xtol=1e-12)
+        assert x == pytest.approx(argmax, abs=1e-9)
+        assert fx == f(x) > -math.inf
