@@ -7,12 +7,14 @@ defining criterion itself rather than a fast hull algorithm, which keeps
 this module independent from the quadrature path it cross-checks; one
 size rule, a cap on C(n, d) and a memory budget, keeps the O(C(n, d))
 enumeration at desk scale.  A whole stack of replicates is censused at
-once, with the stack on the last axis of every tensor: the subsets'
-systems are gathered straight into the augmented layout of one
-vectorised, unpivoted Householder QR, whose diagonal of R also gives each
-system's determinant for the condition guard, and each subset's side test
-is a count of the points below its hyperplane.  A stack's results stay
-arrays until ``facet_census`` builds its one summary.
+once, with the stack on the last axis of every tensor.  In lexicographic
+order the subsets that share their first d - 1 points (their prefix) are
+contiguous, so each used prefix B gets one vectorised, unpivoted
+Householder QR of B^T, which gives its min-norm solution of B x = 1, its
+unit null vector and its volume; each subset B + {s} then finishes its
+hyperplane and its determinant, for the condition guard, in O(d).  Each
+subset's side test is a count of the points below its hyperplane.  A
+stack's results stay arrays until ``facet_census`` builds its one summary.
 
 Replicates draw independent RNG streams keyed by (seed, replicate,
 attempt), so reports are reproducible and independent of scheduling:
@@ -53,19 +55,22 @@ __all__ = [
 
 HALFSPACE_TOL = 1e-9
 # a system is usable when cond_2 < CONDITION_LIMIT.  Since
-# cond_2(A) <= ||A||_F^d / |det A|, a bound below CONDITION_LIMIT / 2 (the
-# factor 2 absorbs rounding in the diagonal of R of the census's QR)
+# cond_2(A) <= ||A||_F^d / |det A|, a bound below CONDITION_LIMIT / 2
 # certifies a system without an SVD; only systems the bound cannot certify
-# go to the SVD.
+# go to the SVD.  The factor 2 absorbs the rounding of
+# ln |det A| = ln vol B + ln |s.n_B| (prefix B, last point s): s.n_B carries
+# a relative error of about eps ||A||_F^d / |det A|, under 1e-4 for any
+# system the bound certifies.
 CONDITION_LIMIT = 1e12
 VERTEX_RESIDUAL_TOL = 1e-8
-# a census stack's (R, n, C) side tensor and its R * C systems of d * d floats
-# hold at most this many floats each; the QR's augmented systems,
-# (d, d + 1, R, C), are (d + 1) / d times the latter
+# a census stack's (R, n, C) side tensor and R * C * d^2 floats each stay
+# within this many floats; the d^2 term is a conservative bound, since the
+# largest per-subset tensor, the gathered (d, 2, R, C) x_p and n_B, holds 2d
 _STACK_FLOATS = 2**16
 # a census enumerates at most this many d-subsets per replicate
 _MAX_SUBSETS = 1_000_000
-# the largest per-replicate tensor, C(n, d) * max(n, d^2) floats, may hold at
+# one replicate's census tensors, bounded by C(n, d) * max(n, d^2) floats
+# (the (n, C) side tensor, or conservatively d^2 per subset), may hold at
 # most this many (1 GiB); a census peaks at 3-4.5x that in resident memory
 _REPLICATE_FLOATS = 2**27
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -80,7 +85,8 @@ class DegenerateSampleError(RuntimeError):
 
 
 def _check_census_size(n: int, d: int) -> int:
-    """Floats in one replicate's largest census tensor, C(n, d) * max(n, d^2).
+    """A bound on the floats in one replicate's largest census tensor,
+    C(n, d) * max(n, d^2).
 
     ValueError when C(n, d) exceeds ``_MAX_SUBSETS`` or the floats exceed
     ``_REPLICATE_FLOATS``.
@@ -275,27 +281,49 @@ def _subset_array(n: int, d: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=math.comb(n, d) * d).reshape(-1, d)
 
 
-def _solve_ones(aug: np.ndarray) -> tuple:
-    """Solutions x of A x = 1 and ln |det A| for a stack of d x d systems.
+def _census_plan(n: int, d: int) -> tuple:
+    """The subsets of a census of n points in R^d, split at their last point.
 
-    ``aug`` holds the augmented systems [A | 1] with the stack on the
-    trailing axes: shape (d, d + 1, ...), ``aug[i, j]`` being entry (i, j)
-    of every system and ``aug[:, d]`` the ones.  d - 1 Householder
-    reflections run over the whole stack at once, in place, reducing
-    [A | 1] to [R | Q^T 1]; they need no pivoting to be backward stable
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 19.3), so there is no pivot search and no row swap.
-    ln |det A| is the sum of ln |r_kk| over the diagonal of R.  x has shape
-    (d, ...) and ln |det A| shape (...).  Every step is elementwise along
-    the stack, so a system's result does not depend on the others.  A zero
-    column gives ln |det A| = -inf or NaN and a non-finite x.
+    Returns (subsets, prefixes, prefix_of, last): the (C, d) d-subsets of
+    range(n) in lexicographic order, the (P, d - 1) distinct prefixes
+    (first d - 1 points) that some subset extends, in the same order, and
+    for each subset its prefix's row in ``prefixes`` and its last point, so
+    that ``subsets[c]`` is ``(*prefixes[prefix_of[c]], last[c])``.  The
+    subsets sharing a prefix are contiguous.
     """
-    d = len(aug)
+    subsets = _subset_array(n, d)
+    head = subsets[:, :-1]
+    starts = np.ones(len(subsets), dtype=bool)
+    starts[1:] = (head[1:] != head[:-1]).any(axis=1)
+    return subsets, head[starts], np.cumsum(starts) - 1, subsets[:, -1].copy()
+
+
+def _solve_prefixes(bt: np.ndarray) -> tuple:
+    """The hyperplane data of a stack of (d - 1) x d systems B, from one
+    Householder QR of each B^T.
+
+    ``bt`` holds the transposes with the stack on the trailing axes: shape
+    (d, d - 1, ...), ``bt[i, j]`` being coordinate i of row j of every B.
+    d - 1 Householder reflections H_k run over the whole stack at once, in
+    place, reducing B^T = Q R with Q = H_0 ... H_{d-2}; they need no
+    pivoting to be backward stable (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 19.3).  Returns (xn, ln vol B,
+    ||B||_F^2), where xn, of shape (d, 2, ...), holds two vectors of every
+    system: xn[:, 0] = x_p = Q [R_1^-T 1; 0], the min-norm solution of
+    B x = 1, and xn[:, 1] = n_B = Q e_d, the unit vector with B n_B = 0.
+    ln vol B is the sum of ln |r_kk| over the diagonal of R.
+    Every step is elementwise along the stack, so a system's result does
+    not depend on the others.  A rank-deficient B gives ln vol B = -inf or
+    NaN and non-finite vectors.
+    """
+    d = len(bt)
+    fro2 = np.einsum("ij...,ij...->...", bt, bt)
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    taus = np.empty((d - 1,) + bt.shape[2:])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d - 1):
             # the reflector of LAPACK's dlarfg, normalized so that v[0] = 1
-            col, rest = aug[k:, k], aug[k:, k + 1 :]
+            col, rest = bt[k:, k], bt[k:, k + 1 :]
             sumsq = np.einsum("i...,i...->...", col, col)
             norm = np.sqrt(sumsq)
             # a sum of squares that overflows or leaves the normal range
@@ -306,17 +334,60 @@ def _solve_ones(aug: np.ndarray) -> tuple:
             beta = -np.copysign(norm, col[0])
             v = col / (col[0] - beta)
             v[0] = 1.0
-            tau = (beta - col[0]) / beta
-            rest -= v[:, None] * (tau * np.einsum("i...,ij...->j...", v, rest))
-            aug[k, k] = beta
-        diagonal = aug[np.arange(d), np.arange(d)]  # (d, ...)
-        logdet = np.log(np.abs(diagonal)).sum(axis=0)
-        x = aug[:, d]
-        for k in reversed(range(d)):
-            for j in range(k + 1, d):
-                x[k] -= aug[k, j] * x[j]
-            x[k] /= diagonal[k]
-    return x, logdet
+            taus[k] = (beta - col[0]) / beta
+            if k < d - 2:  # the last column has nothing to its right
+                rest -= v[:, None] * (taus[k] * np.einsum("i...,ij...->j...", v, rest))
+            # keep v below the diagonal, as LAPACK does, to apply Q later
+            col[1:] = v[1:]
+            col[0] = beta
+        diagonal = bt[np.arange(d - 1), np.arange(d - 1)]  # (d - 1, ...)
+        logvol = np.log(np.abs(diagonal)).sum(axis=0)
+        # z[:, 0] = [R_1^-T 1; 0] by forward substitution, z[:, 1] = e_d
+        z = np.zeros((d, 2) + bt.shape[2:])
+        z[d - 1, 1] = 1.0
+        y = z[:, 0]
+        for k in range(d - 1):
+            y[k] = 1.0
+            for j in range(k):
+                y[k] -= bt[j, k] * y[j]
+            y[k] /= diagonal[k]
+        # z <- H_0 ... H_{d-2} z
+        for k in reversed(range(d - 1)):
+            head, tail = z[k], z[k + 1 :]
+            scale = taus[k] * (head + np.einsum("i...,ij...->j...", bt[k + 1 :, k], tail))
+            head -= scale
+            tail -= bt[k + 1 :, k, None] * scale
+    return z, logvol, fro2
+
+
+def _hyperplanes(points: np.ndarray, plan: tuple) -> tuple:
+    """x with A x = 1, ln |det A| and ||A||_F^2 of every census system.
+
+    System (r, c) has the rows ``points[r, subsets[c]]``, for points of
+    shape (R, n, d) and ``plan`` from ``_census_plan``.  One QR per used
+    prefix B, ``_solve_prefixes``, gives x_p, n_B, ln vol B and ||B||_F^2;
+    the system A = [B; s] then takes O(d) more work:
+    x = x_p + alpha n_B with alpha = (1 - s.x_p) / (s.n_B), so that
+    B x = B x_p = 1 and s.x = 1;
+    ln |det A| = ln vol B + ln |s.n_B|, since A Q is block lower triangular
+    with diagonal blocks R_1^T and s.n_B; and ||A||_F^2 = ||B||_F^2 + ||s||^2.
+    x has shape (d, R, C), the others (R, C).  A singular system gives
+    ln |det A| = -inf or NaN and a non-finite x.
+    """
+    _, prefixes, prefix_of, last = plan
+    coords = points.transpose(2, 0, 1)  # (d, R, n)
+    bt = np.take(coords, prefixes.T, axis=2).transpose(0, 2, 1, 3)  # (d, d - 1, R, P)
+    xn, logvol, fro2 = _solve_prefixes(bt)
+    xn = np.take(xn, prefix_of, axis=3)  # (d, 2, R, C)
+    s = np.take(coords, last, axis=2)  # (d, R, C)
+    # s.x_p and s.n_B in one product, whose output is never a single
+    # number: einsum orders a lone sum differently from a stack's
+    s_x, s_null = np.einsum("i...,ij...->j...", s, xn)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = xn[:, 0]
+        x += (1.0 - s_x) / s_null * xn[:, 1]
+        logdet = np.take(logvol, prefix_of, axis=1) + np.log(np.abs(s_null))
+    return x, logdet, np.take(fro2, prefix_of, axis=1) + np.einsum("i...,i...->...", s, s)
 
 
 def _well_conditioned(
@@ -326,7 +397,7 @@ def _well_conditioned(
 
     System (r, c) has the rows ``points[r, subsets[c]]``; ``fro2`` holds
     its squared Frobenius norm and ``logdet`` its ln |det A|, from
-    ``_solve_ones``.  The determinant bound decides almost every system;
+    ``_hyperplanes``.  The determinant bound decides almost every system;
     the SVD rule decides the rest, rebuilt from ``points``, so the mask is
     the SVD rule's on every system.
     """
@@ -345,8 +416,9 @@ def _well_conditioned(
     return usable
 
 
-def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tuple:
-    """Census a stack of replicates, points of shape (R, n, d).
+def _census(points: np.ndarray, plan: tuple, keep_records: bool) -> tuple:
+    """Census a stack of replicates, points of shape (R, n, d), over the
+    subsets of ``plan``, from ``_census_plan(n, d)``.
 
     Returns (tied, counts, min_heights, skipped, heights, records).  The
     first four are arrays over the stack: ``tied`` marks a replicate in
@@ -361,20 +433,16 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
     applied per replicate.
     """
     stack, n, d = points.shape
+    subsets = plan[0]
     count = len(subsets)
-    # aug[i, j, r, c] = points[r, subsets[c, i], j], with the ones in column d
-    aug = np.empty((d, d + 1, stack, count))
-    aug[:, :d] = np.take(points.transpose(2, 0, 1), subsets.T, axis=2).transpose(2, 0, 1, 3)
-    aug[:, d] = 1.0
-    fro2 = np.einsum("ij...,ij...->...", aug[:, :d], aug[:, :d])
-    x, logdet = _solve_ones(aug)  # (d, R, C) and (R, C)
+    x, logdet, fro2 = _hyperplanes(points, plan)  # (d, R, C), (R, C), (R, C)
     usable = _well_conditioned(points, subsets, fro2, logdet)
     # an unusable system may be singular, with a non-finite solution
     with np.errstate(divide="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce(x * x, axis=0))
         unit = x / norms
         heights = 1.0 / norms
-        del aug, x  # x is a view of aug: free both before the side tensor
+        del x  # a view of the gathered x_p and n_B: free them before the side tensor
         side = np.matmul(points, unit.transpose(1, 0, 2))  # (R, n, C)
         side -= heights[:, None, :]
     # positions in a flattened (n, C) array of each subset's own points
@@ -401,7 +469,8 @@ def _census(points: np.ndarray, subsets: np.ndarray, keep_records: bool) -> tupl
     short = ~tied & (skipped == 0) & (counts < d + 1)
     if short.any():
         raise RuntimeError(
-            f"census found {counts[short][0]} facets with no skips; every polytope has >= d+1"
+            f"census of n={n}, d={d} found {counts[short][0]} facets with no skips; "
+            "every polytope has >= d+1"
         )
     records = None
     if keep_records:
@@ -426,11 +495,13 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     above ``CONDITION_LIMIT``, or whose solution misses a vertex by more
     than ``VERTEX_RESIDUAL_TOL``, are skipped and tallied; any remaining
     point within ``HALFSPACE_TOL`` of the plane raises
-    DegenerateSampleError.  One unpivoted Householder QR gives each
-    system's solution and ln |det A|, the latter from the diagonal of R.
-    The condition test uses the bound
+    DegenerateSampleError.  One unpivoted Householder QR per (d - 1)-point
+    prefix B gives its min-norm solution x_p of B x = 1, its unit null
+    vector n_B and ln vol B; a subset B + {s} then has
+    x = x_p + alpha n_B, alpha = (1 - s.x_p) / (s.n_B), and
+    ln |det A| = ln vol B + ln |s.n_B|.  The condition test uses the bound
     cond_2(A) <= ||A||_F^d / |det A|: a bound below CONDITION_LIMIT / 2
-    (the factor 2 covers rounding in the QR) accepts a system,
+    (the factor 2 covers the rounding of ln |det A|) accepts a system,
     and an SVD decides only the systems the bound cannot accept, so the
     skipped systems are exactly those of the SVD rule.  A subset spans a
     facet when none or all of the remaining points lie below its plane;
@@ -464,11 +535,12 @@ def facet_census(points: np.ndarray, keep_records: bool = False) -> CensusSummar
     n, d = points.shape
     _check_census_size(n, d)
     tied, counts, min_heights, skipped, heights, records = _census(
-        points[None], _subset_array(n, d), keep_records
+        points[None], _census_plan(n, d), keep_records
     )
     if tied[0]:
         raise DegenerateSampleError(
-            "a non-vertex point ties a candidate hyperplane within tolerance"
+            f"census of n={n}, d={d}: a non-vertex point ties a candidate hyperplane "
+            f"within HALFSPACE_TOL = {HALFSPACE_TOL:g}"
         )
     return CensusSummary(
         facet_count=int(counts[0]),
@@ -543,15 +615,17 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
     from one ``_stream_states`` call, and a redraw's when it is queued;
     no SeedSequence is built.  A worklist of (replicate, attempt) pairs is
     censused in stacks whose largest tensor holds at most
-    ``_STACK_FLOATS`` floats.  A replicate with a half-space tie is
-    redrawn alone, as (r, a + 1) at the end of the worklist, and counted
-    in ``degenerate_resamples``; after 1000 attempts estimate raises
-    RuntimeError.
+    ``_STACK_FLOATS`` floats; every stack shares the call's one plan of
+    the subsets and their prefixes and runs one QR per prefix.  A
+    replicate with a half-space tie is redrawn alone, as (r, a + 1) at the
+    end of the worklist, and counted in ``degenerate_resamples``; after
+    1000 attempts estimate raises RuntimeError naming the replicate,
+    (n, d) and the seed.
     """
     n, d = int(spec.params.n), spec.params.d
-    subsets = _subset_array(n, d)
-    # the largest stacked tensors are (R, n, C) and (d, d + 1, R, C)
+    # the largest stacked tensors are (R, n, C) and (d, 2, R, C)
     stack = max(1, _STACK_FLOATS // _check_census_size(n, d))
+    plan = _census_plan(n, d)
     counts = np.zeros(spec.replicates, dtype=np.intp)
     min_heights = np.full(spec.replicates, np.nan)
     records = [None] * spec.replicates if spec.keep_records else None
@@ -568,7 +642,7 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
         ])
         done += len(batch)
         tied, stack_counts, stack_min, stack_skipped, stack_heights, stack_records = _census(
-            points, subsets, spec.keep_records
+            points, plan, spec.keep_records
         )
         reps = np.array([rep for rep, _ in batch])
         kept = ~tied
@@ -585,7 +659,10 @@ def estimate(spec: EnsembleSpec) -> EnsembleReport:
             rep, attempt = batch[i]
             degenerate += 1
             if attempt + 1 == 1000:
-                raise RuntimeError(f"replicate {rep} degenerate after 1000 redraws")
+                raise RuntimeError(
+                    f"replicate {rep} of n={n}, d={d}, seed={spec.seed} "
+                    "still ties a hyperplane after 1000 redraws"
+                )
             work.append((rep, attempt + 1))
             states = np.concatenate([states, _stream_states(spec.seed, work[-1:])])
     # each replicate's heights come from its one untied census, in order

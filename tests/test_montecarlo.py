@@ -167,8 +167,16 @@ class TestCensus:
                 [-1.0, 0.0],
             ]
         )
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(DegenerateSampleError, match=r"n=4, d=2: .* HALFSPACE_TOL = 1e-09"):
             facet_census(pts)
+
+    def test_short_census_names_its_shape(self, monkeypatch):
+        """Fewer than d + 1 facets with nothing skipped cannot happen on a
+        hull, so the census raises; a plan of one subset forces it."""
+        plan = montecarlo._census_plan(9, 3)
+        monkeypatch.setattr(montecarlo, "_census_plan", lambda n, d: [a[:1] for a in plan])
+        with pytest.raises(RuntimeError, match=r"census of n=9, d=3 found [01] facets"):
+            facet_census(sample_sphere(9, 3, seed=5))
 
     @pytest.mark.parametrize(
         "points, facets, skipped",
@@ -222,28 +230,20 @@ def _svd_rule(mats):
     return np.isfinite(cond) & (cond < montecarlo.CONDITION_LIMIT)
 
 
-def _stack_last(mats):
-    """The systems [A | 1] of a (k, d, d) stack in the elimination's
-    (d, d + 1, k) layout."""
-    k, d, _ = mats.shape
-    aug = np.empty((d, d + 1, k))
-    aug[:, :d] = mats.transpose(1, 2, 0)
-    aug[:, d] = 1.0
-    return aug
-
-
 def _solve(mats):
-    """``_solve_ones`` on a (k, d, d) stack: x as (k, d), ln |det A| as (k,)."""
-    x, logdet = montecarlo._solve_ones(_stack_last(mats))
-    return x.T, logdet
+    """``_hyperplanes`` on a (k, d, d) stack, each system being a replicate
+    of d points censused with the one subset range(d): x as (k, d),
+    ln |det A| and ||A||_F^2 as (k,)."""
+    d = mats.shape[-1]
+    x, logdet, fro2 = montecarlo._hyperplanes(mats, montecarlo._census_plan(d, d))
+    return x[:, :, 0].T, logdet[:, 0], fro2[:, 0]
 
 
 def _guard(mats):
-    """``_well_conditioned`` on a (k, d, d) stack, each system being a
-    replicate of d points censused with the one subset range(d)."""
+    """``_well_conditioned`` on a (k, d, d) stack, on the kernel's
+    ln |det A| and ||A||_F^2 as in the census."""
     d = mats.shape[-1]
-    _, logdet = _solve(mats)
-    fro2 = np.einsum("kij,kij->k", mats, mats)
+    _, logdet, fro2 = _solve(mats)
     subsets = np.arange(d)[None]
     return montecarlo._well_conditioned(mats, subsets, fro2[:, None], logdet[:, None])[:, 0]
 
@@ -282,6 +282,21 @@ class TestConditionGuard:
             assert np.array_equal(montecarlo._subset_array(n, d), want)
 
 
+class TestCensusPlan:
+    @pytest.mark.parametrize("n, d", [(4, 2), (7, 3), (12, 4), (14, 5), (6, 6)])
+    def test_prefix_and_last_point_rebuild_the_subsets(self, n, d):
+        """Each subset is its prefix plus its last point, the subsets of a
+        prefix are contiguous, and the prefixes are exactly the (d - 1)-
+        subsets of range(n - 1): one ending at n - 1 extends to nothing."""
+        subsets, prefixes, prefix_of, last = montecarlo._census_plan(n, d)
+        want = montecarlo._subset_array(n, d)
+        assert np.array_equal(subsets, want)
+        assert np.array_equal(np.column_stack([prefixes[prefix_of], last]), want)
+        assert np.array_equal(np.unique(prefix_of), np.arange(len(prefixes)))
+        assert (np.diff(prefix_of) >= 0).all()
+        assert np.array_equal(prefixes, montecarlo._subset_array(n - 1, d - 1))
+
+
 def _systems(rng, d, cond, count):
     """Random d x d systems Q1 diag(sigma) Q2 with cond_2 = cond, half with a
     geometric spectrum and half with one small singular value."""
@@ -301,11 +316,13 @@ class TestElimination:
         backward-stable solvers may differ by about cond * eps (measured
         1.6e-10 at cond 1e6, d = 6), so the bound is 1e-12 relative up to
         cond 1e3 and grows with cond beyond; the normwise backward error
-        must be at rounding level at every cond."""
+        must be at rounding level at every cond, up to 1e9, well inside
+        the range cond < CONDITION_LIMIT the census uses."""
         rng = np.random.default_rng(100 + d)
-        for cond in (1.0, 1e3, 1e6):
+        for cond in (1.0, 1e3, 1e6, 1e9):
             mats = _systems(rng, d, cond, 100)
-            x, logdet = _solve(mats)
+            x, logdet, fro2 = _solve(mats)
+            np.testing.assert_allclose(fro2, np.einsum("kij,kij->k", mats, mats), rtol=1e-14)
             want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
             _, want_logdet = np.linalg.slogdet(mats)
             rel = 1e-12 * max(1.0, cond / 1e3)
@@ -334,7 +351,7 @@ class TestElimination:
         rng = np.random.default_rng(7)
         for d in (2, 4, 6):
             mats = _systems(rng, d, 10.0, 20) * 1e-170
-            x, logdet = _solve(mats)
+            x, logdet, _ = _solve(mats)
             want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
             _, want_logdet = np.linalg.slogdet(mats)
             assert np.isfinite(x).all()
@@ -349,7 +366,7 @@ class TestElimination:
         for d in (2, 4, 6):
             mats = _systems(rng, d, 10.0, 20) * 1e170
             assert np.isinf(np.einsum("kij,kij->k", mats, mats)).all()
-            x, logdet = _solve(mats)
+            x, logdet, _ = _solve(mats)
             want = np.linalg.solve(mats, np.ones((len(mats), d, 1)))[..., 0]
             _, want_logdet = np.linalg.slogdet(mats)
             assert np.isfinite(x).all()
@@ -364,12 +381,12 @@ class TestElimination:
         for d in (2, 3, 5):
             mats = _systems(rng, d, 10.0, 50)
             mats = np.concatenate([mats[:20], _systems(rng, d, 10.0, 2)[:1] * 1e-170, mats[20:]])
-            x_all, logdet_all = _solve(mats)
+            x_all, logdet_all, _ = _solve(mats)
             want = np.linalg.solve(mats[20], np.ones(d))
             np.testing.assert_allclose(x_all[20], want, rtol=1e-12)
             np.testing.assert_allclose(logdet_all[20], np.linalg.slogdet(mats[20])[1], rtol=1e-12)
             for i in np.r_[0:20, 21:51]:
-                x, logdet = _solve(mats[i : i + 1])
+                x, logdet, _ = _solve(mats[i : i + 1])
                 assert np.array_equal(x[0], x_all[i])
                 assert np.array_equal(logdet[0], logdet_all[i])
 
@@ -380,24 +397,26 @@ class TestElimination:
         rng = np.random.default_rng(11)
         for d in (2, 3, 5):
             stack = rng.standard_normal((101, d, d))
-            x_all, logdet_all = _solve(stack)
+            x_all, logdet_all, _ = _solve(stack)
             for i in (0, 57, 100):
-                x, logdet = _solve(stack[i : i + 1])
+                x, logdet, _ = _solve(stack[i : i + 1])
                 assert np.array_equal(x[0], x_all[i])
                 assert np.array_equal(logdet[0], logdet_all[i])
 
 
-def _tolerance_census(points, subsets):
+def _tolerance_census(points):
     """The census's outputs (tied, counts, min heights, skipped, heights)
     by its tolerance rule on an (R, C, n) side tensor, as an oracle for
     the sign count: a subset spans a facet when every other point lies
     ``HALFSPACE_TOL`` or more below its plane, or every one that far
-    above.  The solutions come from the same elimination, so the heights
-    must agree bit for bit; the guard is the SVD rule itself."""
+    above.  The solutions come from the same kernel, run on each system
+    alone as its own one-subset census, so the heights must agree bit for
+    bit with the stacked census's; the guard is the SVD rule itself."""
     tol = montecarlo.HALFSPACE_TOL
     stack, n, d = points.shape
+    subsets = montecarlo._subset_array(n, d)
     mats = points[:, subsets]  # (R, C, d, d)
-    x, _ = _solve(mats.reshape(-1, d, d))
+    x, _, _ = _solve(mats.reshape(-1, d, d))
     with np.errstate(divide="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce(x * x, axis=1))
         normals = (x / norms[:, None]).reshape(stack, -1, d)
@@ -434,9 +453,8 @@ class TestSideRule:
     SHAPES = [(4, 2, 40), (7, 2, 30), (15, 3, 9), (9, 3, 20), (12, 4, 8), (14, 5, 1), (8, 5, 6)]
 
     def _check(self, points):
-        subsets = montecarlo._subset_array(*points.shape[1:])
-        got = montecarlo._census(points, subsets, True)
-        want = _tolerance_census(points, subsets)
+        got = montecarlo._census(points, montecarlo._census_plan(*points.shape[1:]), True)
+        want = _tolerance_census(points)
         for name, a, b in zip(("tied", "counts", "min_heights", "skipped", "heights"), got, want):
             assert np.array_equal(a, b, equal_nan=True), name
         # records list each untied replicate's facets in the order of its heights
@@ -474,24 +492,30 @@ class TestSideRule:
                 points = np.stack([sample_sphere(n, d, _stream(6, r, 0)) for r in range(stack + 2)])
             else:
                 points = _rounded_stack(n, d, stack + 2, 6, decimals)
-            subsets = montecarlo._subset_array(n, d)
+            plan = montecarlo._census_plan(n, d)
             tied, counts, min_heights, skipped, heights, _ = montecarlo._census(
-                points, subsets, False
+                points, plan, False
             )
             own = np.split(heights, np.cumsum(counts)[:-1])
             for r in range(len(points)):
-                alone = montecarlo._census(points[r : r + 1], subsets, False)
+                alone = montecarlo._census(points[r : r + 1], plan, False)
                 assert alone[0][0] == tied[r] and alone[1][0] == counts[r]
                 assert np.array_equal(alone[2][0], min_heights[r], equal_nan=True)
                 assert alone[3][0] == skipped[r]
                 assert np.array_equal(alone[4], own[r])
 
 
-def _pivoted_solve_ones(aug):
-    """``_solve_ones`` by Gaussian elimination with partial pivoting, in the
-    same (d, d + 1, ...) layout: an oracle for the census's Householder QR.
-    ln |det A| is the sum of ln |pivot|."""
-    d = len(aug)
+def _pivoted_hyperplanes(points, plan):
+    """``_hyperplanes`` by Gaussian elimination with partial pivoting on the
+    full systems [A | 1], in a (d, d + 1, R, C) layout: an oracle for the
+    census's prefix QR.  ln |det A| is the sum of ln |pivot|."""
+    subsets = plan[0]
+    stack, n, d = points.shape
+    # aug[i, j, r, c] = points[r, subsets[c, i], j], with the ones in column d
+    aug = np.empty((d, d + 1, stack, len(subsets)))
+    aug[:, :d] = np.take(points.transpose(2, 0, 1), subsets.T, axis=2).transpose(2, 0, 1, 3)
+    aug[:, d] = 1.0
+    fro2 = np.einsum("ij...,ij...->...", aug[:, :d], aug[:, :d])
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(d - 1):
             # swap each system's largest remaining |a_ik| into row k
@@ -511,21 +535,20 @@ def _pivoted_solve_ones(aug):
             for j in range(k + 1, d):
                 x[k] -= aug[k, j] * x[j]
             x[k] /= pivots[k]
-    return x, logdet
+    return x, logdet, fro2
 
 
 class TestPivotedOracle:
-    """The census on its QR and on partial-pivot elimination finds the same
-    ties, facet counts and skipped systems, with heights within 1e-13."""
+    """The census on its prefix QR and on partial-pivot elimination of the
+    full systems finds the same ties, facet counts and skipped systems,
+    with heights within 1e-13."""
 
     def _agree(self, points, monkeypatch):
-        subsets = montecarlo._subset_array(*points.shape[1:])
-        tied, counts, min_heights, skipped, heights, _ = montecarlo._census(
-            points, subsets, False
-        )
+        plan = montecarlo._census_plan(*points.shape[1:])
+        tied, counts, min_heights, skipped, heights, _ = montecarlo._census(points, plan, False)
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_solve_ones", _pivoted_solve_ones)
-            want = montecarlo._census(points, subsets, False)
+            patch.setattr(montecarlo, "_hyperplanes", _pivoted_hyperplanes)
+            want = montecarlo._census(points, plan, False)
         assert np.array_equal(tied, want[0])
         assert np.array_equal(counts, want[1])
         assert np.array_equal(skipped, want[3])
@@ -747,6 +770,19 @@ class TestEnsemble:
         redrawn = facet_census(sample_sphere(4, 2, _stream(11, 1, 1)))
         assert report.counts[1] == redrawn.facet_count
         assert np.array_equal(heights[1], redrawn.heights)
+
+    def test_redraws_give_up_naming_the_replicate(self, monkeypatch):
+        """After 1000 tied attempts estimate raises, naming the replicate,
+        (n, d) and the seed; forced by a census that ties every replicate."""
+
+        def every_replicate_tied(points, plan, keep_records):
+            none = np.zeros(len(points), dtype=np.intp)
+            return none == 0, none, np.full(len(points), np.nan), none, np.empty(0), None
+
+        monkeypatch.setattr(montecarlo, "_census", every_replicate_tied)
+        spec = EnsembleSpec(PolytopeParams(7, 3), replicates=2, seed=5)
+        with pytest.raises(RuntimeError, match=r"replicate 0 of n=7, d=3, seed=5 .* 1000 redraws"):
+            estimate(spec)
 
     def test_report_dict_fields(self):
         spec = EnsembleSpec(PolytopeParams(8, 3), replicates=20, seed=1)
