@@ -39,7 +39,8 @@ from fractions import Fraction
 
 from .exact import MAX_DIMENSION, PolytopeParams, log_binomial
 from .logreal import LogReal, log_add_exp
-from .numerics import LOG_SQRT_2PI, _log_cap_constant, _log_gamma_half_ratio, log_norm_cdf
+from .numerics import LOG_SQRT_2PI, _log_binomial, _log_cap_constant, _log_gamma_half_ratio
+from .numerics import log_norm_cdf
 from .solvers import newton_bracketed
 
 __all__ = [
@@ -376,7 +377,7 @@ def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> 
     the window to exist) or when the endpoints cross (r1/r2 misuse).
     """
     if not (r1 > 0 and r2 > 0):
-        raise ValueError("r1 and r2 must be positive")
+        raise ValueError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
     d, ln_n = params.d, params.ln_n
     log_ratio = ln_n - math.log(d)
     if log_ratio <= 0:
@@ -451,7 +452,7 @@ def facet_count_asymptotic(
     log_ratio = params.ln_n - math.log(d)
     if tag == Regime.SUBEXPONENTIAL:
         if log_ratio <= 0:
-            raise ValueError("subexponential formula needs n > d")
+            raise ValueError(f"subexponential formula needs n > d, got ln_n={params.ln_n}, d={d}")
         ln_f = 0.5 * (d - 1.0) * math.log(4.0 * math.pi * log_ratio)
         return FacetCountAsymptotic(tag, ln_f, "(1 + o(1))^((d-1)/2) inside the log")
     if tag == Regime.EXPONENTIAL:
@@ -614,11 +615,8 @@ def origin_outside_prob(n: int, d: int) -> float:
     if n <= 4000:
         total = sum(math.comb(n - 1, k) for k in range(d))
         return float(Fraction(total, 1 << (n - 1)))
-    log_sum = float("-inf")
-    for k in range(d):
-        term = (
-            math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
-        )
-        log_sum = log_add_exp(log_sum, term)
+    log_sum = 0.0  # the k = 0 term, binom(n - 1, 0) = 1
+    for j in (min(k, n - 1 - k) for k in range(1, d)):
+        log_sum = log_add_exp(log_sum, _log_binomial(j, math.log((n - 1) / j)))
     return math.exp(log_sum - (n - 1) * math.log(2.0))
 

@@ -14,16 +14,15 @@ and c_out normalizes (1 - h^2)**((d*d - 2*d - 1)/2) on [-1, 1].  The typical
 facet height has CDF J[-1, h] / J[-1, 1].  G is a symmetric beta CDF, and
 E reaches it through the one kernel ``numerics._log_half_tail``.
 
-Numerically everything runs on the substitution h = sin(theta), which
-removes the d = 2 endpoint singularity and makes the log-integrand
-concave in theta.  The integration variable is the gap u = pi/2 - theta
-to the upper endpoint, because the integrand mass can concentrate within
-u ~ exp(-2 ln(n) / d), far below float resolution of theta itself.  Each
-count is one segment, integrated afresh: a window spanning less than a
-factor 2 in the gap is integrated linearly in u, with exact edges, and
-every other window in t = ln(u).  The peak is located by golden-section
-search before paneling, magnitudes stay in log scale throughout, and
-counts are returned as LogReal.
+Numerically everything runs on the gap u = arccos(h) to the upper
+endpoint, which removes the d = 2 endpoint singularity, and mostly on
+t = ln(u), in which the log-integrand E is unimodal: the integrand mass
+can concentrate within u ~ exp(-2 ln(n) / d), far below float resolution
+of h itself.  Each count is one segment, integrated afresh: a window
+spanning less than a factor 2 in the gap is integrated linearly in u,
+with exact edges, and every other window in t.  The peak is located by
+golden-section search before paneling, magnitudes stay in log scale
+throughout, and counts are returned as LogReal.
 
 A law integrates once.  ``TypicalHeightLaw`` keeps the converged
 partition of the full range (one segment in t), and every CDF, cap
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import quadrature
 from .logreal import LogReal
-from .numerics import _log_cap_constant, _log_half_tail, log_c_alpha
+from .numerics import _log_binomial, _log_cap_constant, _log_half_tail, log_c_alpha
 from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
@@ -108,12 +107,15 @@ class PolytopeParams:
             object.__setattr__(self, "ln_n", math.log(n))
         else:
             if self.ln_n is None:
-                raise ValueError("provide either n or ln_n")
+                raise ValueError(f"provide either n or ln_n, got n=None, ln_n=None, d={self.d}")
             if not math.isfinite(self.ln_n):
                 raise ValueError(f"ln_n must be finite, got ln_n={self.ln_n}")
-            if not self.ln_n > math.log(self.d + 1) - 1e-12:
-                raise ValueError(f"ln_n={self.ln_n} implies n <= d+1 for d={self.d}")
-            # log_binomial forms d ln n and _GapIntegrand.t_floor -2 ln n - 100;
+            # n - d, as log_n_minus_d derives it, is 1 or more within n ulp(ln n)
+            slack = math.exp(min(self.ln_n, 709.0)) * math.ulp(self.ln_n)
+            if not (self.ln_n > math.log(self.d) and self.d * math.exp(-self.ln_n) < 1.0
+                    and math.exp(min(self.log_n_minus_d, 0.0)) >= 1.0 - slack):
+                raise ValueError(f"ln_n={self.ln_n} implies n - d < 1 for d={self.d}")
+            # log_binomial forms about d ln n and _GapIntegrand.t_floor -2 ln n - 100;
             # with d >= 2 the first overflows first (100 is far below an ulp there)
             if not math.isfinite(self.d * self.ln_n):
                 raise ValueError(
@@ -160,7 +162,7 @@ class HeightInterval:
                 gap = math.acos(h) if theta is None else HALF_PI - theta
                 object.__setattr__(self, name, gap)
         if not 0.0 <= self.gap2 <= self.gap1:
-            raise ValueError("angular gaps are inconsistent with the window order")
+            raise ValueError(f"gaps gap1={self.gap1!r}, gap2={self.gap2!r} are not in window order")
 
     @classmethod
     def from_theta(cls, theta1: float, theta2: float) -> "HeightInterval":
@@ -317,23 +319,18 @@ def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE)
 
 
 def log_binomial(params: PolytopeParams) -> float:
-    """ln binom(n, d); uses the log-only representation when n has one.
+    """ln binom(n, d) = ln binom(n, k) for k = min(d, n - d), in O(1).
 
-    With n given, binom(n, d) = binom(n, k) for k = min(d, n - d) is the
-    product of the k factors (n - k + j)/j, and their logs are summed by
-    fsum, in O(k) time.  With ln n alone it is d ln n - ln d!, less the
-    terms ln(1 - j/n) while they are above float resolution (ln n < 50).
+    Both representations take the closed form ``numerics._log_binomial``:
+    with n given at ln(n/k), one log of the ratio, and with ln n alone at
+    ln n - ln k, taking n - d from ``log_n_minus_d``.
     """
     d = params.d
     if params.n is not None:
-        n = params.n
-        k = int(min(d, n - d))
-        return math.fsum(math.log((n - k + j) / j) for j in range(1, k + 1))
-    total = d * params.ln_n - math.lgamma(d + 1)
-    if params.ln_n < 50.0:
-        inv_n = math.exp(-params.ln_n)
-        total += math.fsum(math.log1p(-k * inv_n) for k in range(1, d))
-    return total
+        k = min(d, params.n - d)
+        return _log_binomial(k, math.log(params.n / k))
+    k = d if params.log_n_minus_d >= math.log(d) else math.exp(params.log_n_minus_d)
+    return _log_binomial(k, params.ln_n - math.log(k))
 
 
 def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:

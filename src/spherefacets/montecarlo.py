@@ -171,9 +171,9 @@ class CensusSummary:
 
     def __post_init__(self):
         if self.facet_count != len(self.heights):
-            raise ValueError("facet_count must equal the number of heights")
+            raise ValueError(f"facet_count={self.facet_count} but {len(self.heights)} heights")
         if self.facet_count and self.origin_inside != (self.min_height > 0.0):
-            raise ValueError("origin_inside must match the sign of min_height")
+            raise ValueError(f"origin_inside={self.origin_inside} but min_height={self.min_height}")
 
 
 def _stream_states(seed: int, keys) -> np.ndarray:
@@ -272,8 +272,7 @@ def sample_sphere(n: int, d: int, seed) -> np.ndarray:
     """
     if n < 1 or d < 2:
         raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sphere_stack(n, d, [rng])[0]
+    return _sphere_stack(n, d, [np.random.default_rng(seed)])[0]
 
 
 def _subset_array(n: int, d: int) -> np.ndarray:

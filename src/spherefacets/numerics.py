@@ -78,7 +78,7 @@ def log_norm_cdf(h: float) -> float:
     over.
     """
     if math.isnan(h):
-        raise ValueError("log_norm_cdf requires a finite argument")
+        raise ValueError(f"log_norm_cdf requires a finite argument, got h={h}")
     if h > 0.0:
         return math.log1p(-0.5 * math.erfc(h * _INV_SQRT2))
     if h > -36.0:
@@ -110,6 +110,30 @@ def _log_gamma_half_ratio(x: float) -> float:
     z = 1.0 / (x * x)
     series = 1 / 8 - z * (1 / 192 - z * (1 / 640 - z * (17 / 14336 - z * (31 / 18432))))
     return 0.5 * math.log(x) - series / x
+
+
+def _stirling_remainder(x: float) -> float:
+    """ln x! - (x + 1/2) ln x + x - ln(2 pi)/2, 0 at x = inf; from x = 16 on, where
+    lgamma carries the rounding of x ln x, by its series in 1/x to the 1/x^9 term."""
+    if x < 16.0:
+        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - LOG_SQRT_2PI
+    z, z2 = 1.0 / x, 1.0 / (x * x)
+    return z * (1 / 12 - z2 * (1 / 360 - z2 * (1 / 1260 - z2 * (1 / 1680 - z2 / 1188))))
+
+
+def _log_binomial(k: float, log_ratio: float) -> float:
+    """ln C(n, k) for 0 < k <= n/2, given log_ratio = ln(n/k), in O(1) by Loader's
+    saddle-point form (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000), with m = n - k, x = k/n and delta ``_stirling_remainder``:
+    k ln(n/k) + m ln(n/m) + ln(n / (2 pi k m))/2 + delta(n) - delta(k) - delta(m),
+    rounded once by fsum.  m ln(n/m) = k (1 - x) ln(n/m) / x tends to k as x -> 0,
+    so n may pass float range."""
+    x = max(math.exp(-log_ratio), math.ulp(0.0))
+    log_n_over_m = -math.log1p(-x)
+    n = k / x
+    return math.fsum((k * log_ratio, k * (1.0 - x) * log_n_over_m / x,
+                      0.5 * (log_n_over_m - math.log(k)), -LOG_SQRT_2PI,
+                      _stirling_remainder(n), -_stirling_remainder(k), -_stirling_remainder(n - k)))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -1,8 +1,8 @@
 """Adaptive panel quadrature for log-scale integrands.
 
-The integrands this package cares about look like ``exp(E(theta))`` with
-E spanning thousands of log-units and a peak whose width shrinks like
-1/d or faster.  Integration therefore happens entirely on E: each panel
+The integrands this package cares about look like ``exp(E(t))`` in the
+log gap t = ln(u), with E spanning thousands of log-units and a peak
+whose width shrinks like 1/d or faster.  Integration happens on E: each panel
 is evaluated with a 15-point Gauss-Kronrod rule applied to
 ``exp(E - E_max)`` (the max-shift trick), as two dot products over the
 node vector: the Kronrod value, and its difference from the embedded
@@ -56,7 +56,8 @@ _KRONROD_MINUS_GAUSS = tuple(k - g for k, g in zip(_KRONROD, _WG[:-1] + _WG[::-1
 
 
 class QuadratureError(ArithmeticError):
-    """Raised when the panel budget is exhausted before convergence.
+    """Raised when the panel budget is exhausted before convergence, or
+    when a panel that must be split is at float resolution.
 
     Carries the achieved relative error estimate and the best value so
     the caller can decide whether to accept it anyway.
@@ -129,27 +130,23 @@ def _converged(f_log, panels: np.ndarray, what: str) -> np.ndarray:
     """The rows ``panels``, split in place until the summed error estimate
     is within ``REL_TOL`` of the summed value.  The row of largest error
     (lowest index on ties) is replaced by its left half and its right half
-    is appended; one at float resolution is kept as it is.  Raises
-    QuadratureError, naming the integral ``what``, after ``MAX_SPLITS``
-    splits.
+    is appended.  Raises QuadratureError, naming the integral ``what``,
+    after ``MAX_SPLITS`` splits, or at once, naming the panel too, when
+    that row is at float resolution and cannot be split.
     """
     splits = 0
     while True:
         total_val, total_err = _log_sum(panels[:, 2]), _log_sum(panels[:, 3])
         if total_val == _NEG_INF or total_err <= total_val + math.log(REL_TOL):
             return panels
-        if splits >= MAX_SPLITS:
-            raise QuadratureError(
-                f"{what} did not converge within {MAX_SPLITS} panel splits",
-                total_val,
-                math.exp(total_err - total_val),
-            )
         idx = int(panels[:, 3].argmax())
         lo, hi = panels[idx, :2].tolist()
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            panels[idx, 3] = _NEG_INF  # at float resolution: accept as-is
-            continue
+        if splits >= MAX_SPLITS or not lo < mid < hi:
+            why = (f"within {MAX_SPLITS} panel splits" if splits >= MAX_SPLITS
+                   else f"at its panel [{lo!r}, {hi!r}], which is at float resolution")
+            raise QuadratureError(f"{what} did not converge {why}", total_val,
+                                  math.exp(total_err - total_val))
         panels[idx] = (lo, mid, *_eval_panel(f_log, lo, mid))
         panels = np.vstack((panels, (mid, hi, *_eval_panel(f_log, mid, hi))))
         splits += 1

@@ -522,3 +522,35 @@ class TestHausdorff:
         # d = 3: 2 c_3 = 2 sqrt(pi) Gamma(2) / Gamma(3/2) = 4, so c_3 = 2
         assert c3 == pytest.approx(2.0, rel=1e-14)
 
+
+
+# n = 2**53 + 2 is an exact float whose ln rounds to ln d
+_N_AT_D = PolytopeParams(2**53 + 2, 2**53)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: height_window(PolytopeParams(10**6, 3), r1=0.0),
+     "r1 and r2 must be positive, got r1=0.0, r2=0.1"),
+    (lambda: height_window(_N_AT_D), "height window needs n > d, got ln(n/d) = 0.0"),
+    (lambda: height_window(PolytopeParams(10**6, 3), r2=1e6),
+     "upper endpoint undefined: requires r2 * d < n"),
+    (lambda: height_window(PolytopeParams(10**6, 3), r1=1e-3, r2=1e5),
+     "r1 too small or r2 too large"),
+    (lambda: limit_height(RegimeSpec(Regime.SUPEREXPONENTIAL)),
+     "superexponential height scale needs (n, d)"),
+    (lambda: facet_count_asymptotic(RegimeSpec(Regime.SUBEXPONENTIAL), _N_AT_D),
+     f"subexponential formula needs n > d, got ln_n={_N_AT_D.ln_n}, d={2**53}"),
+    (lambda: typical_height_asymptotic(RegimeSpec(Regime.SUBLINEAR_MID),
+                                       PolytopeParams.from_log(10.0, 20)),
+     "sublinear regime needs an exact point count"),
+    (lambda: glasauer_schneider_constant(1), "dimension must be at least 2, got 1"),
+    (lambda: origin_outside_prob(0, 3), "need n >= 1 and d >= 1, got n=0, d=3"),
+], ids=["r1", "n at d", "upper endpoint", "crossed", "superexponential scale",
+        "subexponential count", "sublinear law", "dimension", "wendel n"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_origin_outside_prob_is_one_for_d_at_least_n():
+    assert origin_outside_prob(3, 3) == origin_outside_prob(3, 5) == 1.0

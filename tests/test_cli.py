@@ -18,7 +18,7 @@ from spherefacets import (
     facet_count_asymptotic,
     parse_family,
 )
-from spherefacets.cli import main
+from spherefacets.cli import emit, main
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +259,11 @@ class TestHumanFormat:
 
 
 class TestEmission:
+    def test_csv_needs_a_table(self):
+        # every command's report has one; a report without one cannot be CSV
+        with pytest.raises(ValueError, match="report has no tabular section for CSV output"):
+            emit({"command": "exact"}, "csv", None)
+
     def test_json_roundtrip(self, capsys):
         _, out, _ = run_cli(capsys, "exact", "--n", "9", "--d", "3",
                             "--format", "json")
@@ -431,3 +436,19 @@ def test_import_leaves_optional_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["exact", "--n", "20", "--d", "3", "--h1", "abc"], 2,
+     "argument --h1: must be a finite number in [-1, 1], got 'abc'"),
+    (["exact", "--ln-n", "29.933606208921795", "--d", str(10**13)], 1,
+     "ln_n=29.933606208921795 implies n - d < 1 for d=10000000000000"),
+], ids=["height not a number", "ln n below d + 1"])
+def test_input_checks_name_the_input(capsys, argv, code, message):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err and "Traceback" not in err and "math domain error" not in err

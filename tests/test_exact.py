@@ -140,6 +140,39 @@ class TestParams:
             want = mpmath.log(mpmath.binomial(n, d))
             assert abs(log_binomial(PolytopeParams(n, d)) - want) <= 2e-10
 
+    @pytest.mark.parametrize("params", [
+        PolytopeParams(2 * 10**7, 10**7),
+        PolytopeParams(10**16, 10**8),
+        PolytopeParams(10**30, 10**7),
+        PolytopeParams(2 * 10**12, 10**12),
+        PolytopeParams(10**6 + 32, 10**6),
+        PolytopeParams.from_log(50.0, 10**10),
+        PolytopeParams.from_log(45.0, 10**17),
+    ], ids=["2e7,1e7", "1e16,1e8", "1e30,1e7", "2e12,1e12", "1e6+32,1e6", "ln 50,1e10", "ln 45,1e17"])
+    def test_log_binomial_of_many_factors_within_4_ulps(self, params):
+        # the closed form at k = min(d, n - d) up to 1e12, against 60-digit
+        # mpmath at the float n (1e30 rounds), or at exp(ln n) with ln n alone
+        with mpmath.workdps(60):
+            n = mpmath.mpf(params.n) if params.n is not None else mpmath.exp(params.ln_n)
+            d = params.d
+            want = mpmath.loggamma(n + 1) - mpmath.loggamma(d + 1) - mpmath.loggamma(n - d + 1)
+            assert abs(log_binomial(params) - want) <= 4 * math.ulp(float(want))
+
+    @pytest.mark.parametrize("n, d", [(20, 3), (14, 5), (12, 4), (405, 400), (10**6, 3)])
+    def test_log_binomial_of_few_factors_within_1e_13(self, n, d):
+        # below k = 16 the Stirling remainders come from lgamma
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.binomial(n, d))
+            assert abs(log_binomial(PolytopeParams(n, d)) - want) <= 1e-13
+
+    def test_rejects_ln_n_with_n_below_d_plus_one(self):
+        # one ulp of ln n moves n by 0.036 at d = 1e13, so ln n resolves
+        # n - d: this ln n puts n about 8 below d, and ln(d + 1) is the edge
+        with pytest.raises(ValueError, match=re.escape(
+                "ln_n=29.933606208921795 implies n - d < 1 for d=10000000000000")):
+            PolytopeParams.from_log(29.933606208921795, 10**13)
+        assert PolytopeParams.from_log(math.log(10**13 + 1), 10**13).log_n_minus_d > -0.036
+
     def test_dimension_is_any_integer_by_index(self):
         p = PolytopeParams(10, np.int64(3))
         assert p.d == 3 and type(p.d) is int
@@ -696,3 +729,16 @@ class TestLawPartition:
             f"over the gaps [0.0, {math.pi!r}], ln J = {total!r}"
         )):
             TypicalHeightLaw(params, LogReal.from_log(ln_j))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PolytopeParams(None, 3), "provide either n or ln_n, got n=None, ln_n=None, d=3"),
+    (lambda: HeightInterval(0.0, 0.5, gap1=0.1, gap2=0.2),
+     "gaps gap1=0.1, gap2=0.2 are not in window order"),
+    (lambda: HeightInterval.upper_tail(4.0), "gap must lie in [0, pi], got 4.0"),
+    (lambda: typical_height_cdf(TypicalHeightLaw.for_params(PolytopeParams(12, 4)), 1.5),
+     "height must lie in [-1, 1], got 1.5"),
+], ids=["no point count", "gaps out of order", "tail gap past pi", "cdf height past 1"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -838,3 +838,25 @@ class TestRecordDump:
         assert len(idx.split()) == 3
         assert len(normal.split()) == 3
         assert abs(float(height)) <= 1.0
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"facet_count": 2, "heights": np.array([0.5]), "min_height": 0.5, "origin_inside": True},
+     "facet_count=2 but 1 heights"),
+    ({"facet_count": 1, "heights": np.array([-0.5]), "min_height": -0.5, "origin_inside": True},
+     "origin_inside=True but min_height=-0.5"),
+], ids=["count", "origin"])
+def test_census_summary_names_inconsistent_fields(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        montecarlo.CensusSummary(**fields)
+
+
+@pytest.mark.parametrize("normal, height, valid", [
+    ((1.0, 0.0), math.sqrt(0.5), True),
+    ((2.0, 0.0), math.sqrt(0.5), False),  # not a unit normal
+    ((1.0, 0.0), 0.5, False),  # its vertices off the plane
+], ids=["facet", "long normal", "vertices off"])
+def test_record_verify_checks_normal_and_vertices(normal, height, valid):
+    points = np.array([[math.sqrt(0.5), math.sqrt(0.5)], [math.sqrt(0.5), -math.sqrt(0.5)],
+                       [-1.0, 0.0]])
+    assert montecarlo.FacetRecord((0, 1), np.array(normal), height).verify(points) is valid

@@ -8,6 +8,7 @@ integrals.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -378,3 +379,14 @@ class TestBoundsSuite:
             check_bounds_suite(gauss_points=[(0.0, 10.0)], rel_slack=-1.0)
         with pytest.raises(ValueError):
             check_bounds_suite(tail_points=[(0.5, 3.0, 1.0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_norm_cdf(math.nan), "log_norm_cdf requires a finite argument, got h=nan"),
+    (lambda: gauss_beta_norm(0.0), "alpha must be positive, got 0.0"),
+    (lambda: scaled_beta_cdf(0.5, -1.0), "alpha must be positive, got -1.0"),
+    (lambda: scaled_beta_cdf(2.0, 1.0), "|h| must not exceed sqrt(alpha), got h=2.0, alpha=1.0"),
+], ids=["nan height", "normalizer alpha", "cdf alpha", "height past sqrt(alpha)"])
+def test_input_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

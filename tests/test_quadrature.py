@@ -1,6 +1,7 @@
 """The log-domain adaptive quadrature against closed-form integrals."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestSharpPeaks:
         with pytest.raises(QuadratureError) as err:
             log_integrate(f, [0.0, 1.0])
         assert err.value.rel_err > 0.0  # achieved estimate is reported
+
+    def test_panel_at_float_resolution_raises_naming_it(self):
+        # the nodes of a one-ulp panel round to its two edges, where f_log
+        # differs, so Kronrod and Gauss disagree and the panel cannot split
+        hi = math.nextafter(1.0, 2.0)
+        with pytest.raises(QuadratureError, match=re.escape(
+                f"quadrature did not converge at its panel [1.0, {hi!r}], "
+                f"which is at float resolution")) as err:
+            log_integrate(lambda x: 0.0 if x == 1.0 else 10.0, [1.0, hi])
+        assert err.value.rel_err > quadrature.REL_TOL
 
 
 class TestEdgeCases:

@@ -1,6 +1,7 @@
 """Scalar solver routines on problems with known answers."""
 
 import math
+import re
 
 import pytest
 
@@ -56,6 +57,10 @@ class TestNewtonBracketed:
 
 
 class TestGoldenMax:
+    def test_rejects_an_empty_interval(self):
+        with pytest.raises(ValueError, match=re.escape("empty interval [1.0, 0.0]")):
+            golden_max(lambda x: x, 1.0, 0.0)
+
     def test_parabola(self):
         x, fx = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, xtol=1e-14)
         assert x == pytest.approx(0.3, abs=1e-9)
