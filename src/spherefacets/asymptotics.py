@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MAX_DIMENSION, PolytopeParams, log_binomial
+from .exact import MAX_DIMENSION, HeightInterval, PolytopeParams, _log_gap, log_binomial
 from .logreal import LogReal, log_add_exp
 from .numerics import LOG_SQRT_2PI, _log_binomial, _log_cap_constant, _log_gamma_half_ratio
 from .numerics import log_norm_cdf
@@ -366,15 +366,17 @@ def concentration_height(params: PolytopeParams) -> float:
     return math.sqrt(-math.expm1(arg))
 
 
-def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> tuple:
-    """Heights (h1, h2) that asymptotically bracket every facet, n >> d.
+def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> HeightInterval:
+    """The window [h1, h2] that asymptotically brackets every facet, n >> d.
 
         h1 = sqrt(1 - (r1 d (ln(n/d))^(3/2) / n)^(2/(d-1)))
         h2 = sqrt(1 - (r2 d / n)^(2(d+1)/(d-1)^2))
 
-    r1 must be large enough and r2 small enough; the defaults are
-    heuristic.  Raises when a radicand is nonpositive (n/d too small for
-    the window to exist) or when the endpoints cross (r1/r2 misuse).
+    Each edge carries its gap u = arccos(h) from ln sin u = ln(1 - h^2)/2,
+    exact where h rounds to 1.  r1 must be large enough and r2 small
+    enough; the defaults are heuristic.  Raises when a radicand is
+    nonpositive (n/d too small for the window to exist) or when the
+    endpoints cross (r1/r2 misuse).
     """
     if not (r1 > 0 and r2 > 0):
         raise ValueError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
@@ -392,11 +394,12 @@ def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> 
         raise ValueError("upper endpoint undefined: requires r2 * d < n")
     h1 = math.sqrt(-math.expm1(arg1))
     h2 = math.sqrt(-math.expm1(arg2))
-    if h1 > h2:
+    if arg1 < arg2:
         raise ValueError(
             f"endpoints crossed (h1={h1} > h2={h2}): r1 too small or r2 too large"
         )
-    return h1, h2
+    gap1, gap2 = (math.exp(_log_gap(0.5 * arg)) for arg in (arg1, arg2))
+    return HeightInterval(h1, h2, gap1=gap1, gap2=gap2)
 
 
 def limit_height(spec: RegimeSpec, params: PolytopeParams | None = None) -> float:

@@ -116,8 +116,8 @@ def _run_asym(ns) -> dict:
     except ValueError:
         report["concentration_height"] = None
     try:
-        h1, h2 = asym.height_window(params, ns.r1, ns.r2)
-        report["height_window"] = {"h1": h1, "h2": h2, "r1": ns.r1, "r2": ns.r2}
+        w = asym.height_window(params, ns.r1, ns.r2)
+        report["height_window"] = {**vars(w), "r1": ns.r1, "r2": ns.r2}
     except ValueError:
         report["height_window"] = None
     haus = asym.hausdorff_asymptotic(spec, params)

@@ -41,7 +41,8 @@ import numpy as np
 
 from . import quadrature
 from .logreal import LogReal
-from .numerics import _log_binomial, _log_cap_constant, _log_half_tail, log_c_alpha
+from .numerics import ConvergenceError, _log_binomial, _log_cap_constant, _log_half_tail
+from .numerics import log_c_alpha
 from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
@@ -65,6 +66,8 @@ _MAX_EXP_ARG = 709.0
 # below this ln(gap), sin(u) = u and cos(u) = 1 in float
 _SMALL_LOG_GAP = -40.0
 _LN_PI = math.log(math.pi)
+# |cos(gap) - h| allowed a window's edge; from_theta's pi/2 - theta reaches 3 * 2**-53
+_GAP_TOL = 2.0 * math.ulp(1.0)
 # the largest dimension: up to it d * d - 2 * d, the exponent of sin u in
 # E, converts to a finite float (it stops at about 1.34e154)
 MAX_DIMENSION = 10**154
@@ -135,6 +138,15 @@ class PolytopeParams:
         return self.ln_n + math.log1p(-scale)
 
 
+def _log_gap(log_s: float) -> float:
+    """ln u of the gap u in [0, pi/2] with ln sin u = log_s: atan2(s, cos u),
+    well conditioned as s -> 1 where arcsin is not, and from ln s = -20 down,
+    where arcsin(s) = s to relative O(s^2), ln s itself, also below float range."""
+    if log_s <= -20.0:
+        return log_s
+    return math.log(math.atan2(math.exp(log_s), math.sqrt(-math.expm1(2.0 * log_s))))
+
+
 @dataclass(frozen=True)
 class HeightInterval:
     """A height window [h1, h2] inside [-1, 1], with its upper gaps.
@@ -142,9 +154,10 @@ class HeightInterval:
     Each edge is stored as its height and its gap u = arccos(h) to h = 1,
     the engine's coordinate.  Gaps are taken as acos(h), exact near h = 1,
     unless given: the angles theta1, theta2 = arcsin(h) are accepted but
-    not stored, and stand for the gaps pi/2 - theta.  Windows hugging
-    h = 1 can be built from the gap directly (``upper_tail``), with
-    precision the height field itself cannot represent.
+    not stored, and stand for the gaps pi/2 - theta.  A given gap or angle
+    off its height by more than ``_GAP_TOL`` in cos u raises ValueError.
+    Windows hugging h = 1 can be built from the gap directly (``upper_tail``,
+    ``asymptotics.height_window``), beyond what the height can represent.
     """
 
     h1: float
@@ -161,8 +174,11 @@ class HeightInterval:
             if getattr(self, name) is None:
                 gap = math.acos(h) if theta is None else HALF_PI - theta
                 object.__setattr__(self, name, gap)
-        if not 0.0 <= self.gap2 <= self.gap1:
+        if not 0.0 <= self.gap2 <= self.gap1 <= math.pi:
             raise ValueError(f"gaps gap1={self.gap1!r}, gap2={self.gap2!r} are not in window order")
+        for h, gap in ((self.h1, self.gap1), (self.h2, self.gap2)):
+            if not abs(math.cos(gap) - h) <= _GAP_TOL:
+                raise ValueError(f"gap {gap!r} is not arccos of its height {h!r} within {_GAP_TOL}")
 
     @classmethod
     def from_theta(cls, theta1: float, theta2: float) -> "HeightInterval":
@@ -253,9 +269,8 @@ class _Segment:
     peak: float
 
 
-def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) -> _Segment:
-    """Gaps [u_lo, u_hi] as one located segment; t_hi is ln(u_hi), and
-    u_hi may underflow to zero when u_lo is zero.
+def _located_segment(f_u: _GapIntegrand, window: HeightInterval) -> _Segment:
+    """A nonempty window's gaps [u_lo, u_hi] as one located segment.
 
     A window with u_hi <= 2 u_lo is integrated linearly in the gap, so its
     edges stay exact however narrow it is.  Any other window is integrated
@@ -264,10 +279,12 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
     integrand has fallen 750 log-units below its peak; the truncated mass
     is a factor exp(-750) of the total, far below any quadrature tolerance.
     """
+    u_lo, u_hi = window.gap2, window.gap1
     if 0.0 < u_lo and u_hi <= 2.0 * u_lo:
         mode, peak = golden_max(f_u, u_lo, u_hi, xtol=max((u_hi - u_lo) * 1e-12, 1e-300))
         return _Segment(f_u, u_lo, u_hi, mode, peak)
     f_t = lambda t: f_u.at_log_gap(t) + t
+    t_hi = math.log(u_hi)
     t_lo = math.log(u_lo) if u_lo > 0.0 else min(f_u.t_floor, t_hi - 1.0)
     mode, peak = golden_max(f_t, t_lo, t_hi, xtol=1e-10)
     if u_lo == 0.0 and peak != _NEG_INF:
@@ -279,31 +296,35 @@ def _located_segment(f_u: _GapIntegrand, u_lo: float, u_hi: float, t_hi: float) 
     return _Segment(f_t, t_lo, t_hi, mode, peak)
 
 
-def _integral_name(params: PolytopeParams, u_lo: float, u_hi: float, t_hi: float) -> str:
-    """The height integral over the gaps [u_lo, u_hi], named by (n or ln n,
-    d) and its gaps for a QuadratureError; t_hi is ln(u_hi)."""
+def _integral_name(params: PolytopeParams, window: HeightInterval) -> str:
+    """The height integral over the window, named by (n or ln n, d) and its
+    gaps for a QuadratureError or a lost continued fraction."""
     size = f"n = {params.n:.0f}" if params.n is not None else f"ln n = {params.ln_n!r}"
-    upper = f"{u_hi!r}" if u_hi > 0.0 else f"exp({t_hi!r})"
-    return f"height integral at {size}, d = {params.d} over the gaps [{u_lo!r}, {upper}]"
+    u_lo, u_hi = window.gap2, window.gap1
+    return f"height integral at {size}, d = {params.d} over the gaps [{u_lo!r}, {u_hi!r}]"
 
 
-def _integrated_segment(f_u, u_lo, u_hi, t_hi) -> tuple:
-    """(ln of the integral, segment, converged partition) over the gaps
-    [u_lo, u_hi] of ``_located_segment``; the engine of every count and
-    of a law's partition.  A segment of zero mass gets no partition.
+def _integrated_segment(f_u: _GapIntegrand, window: HeightInterval) -> tuple:
+    """(ln of the integral, segment, converged partition) over the window
+    as ``_located_segment``; the engine of every count and of a law's
+    partition.  A segment of zero mass gets no partition.  A continued
+    fraction lost on the way is raised again naming the integral.
     """
-    seg = _located_segment(f_u, u_lo, u_hi, t_hi)
-    if seg.peak == _NEG_INF:
-        return _NEG_INF, seg, None
-    ladder = geometric_ladder(seg.lo, seg.hi, seg.mode)
-    part = quadrature._partition(seg.f_log, ladder, _integral_name(f_u.params, u_lo, u_hi, t_hi))
+    name = _integral_name(f_u.params, window)
+    try:
+        seg = _located_segment(f_u, window)
+        if seg.peak == _NEG_INF:
+            return _NEG_INF, seg, None
+        part = quadrature._partition(seg.f_log, geometric_ladder(seg.lo, seg.hi, seg.mode), name)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{name}: {err}") from err
     return quadrature._ln_total(part), seg, part
 
 
 def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
     """The height-window integral J[h1, h2], as a LogReal.
 
-    The window is one segment in the gap u = pi/2 - theta: linear in u
+    The window is one segment in the gap u = arccos(h): linear in u
     when it spans less than a factor 2 in u, else in ln(u).  The
     quadrature runs at its one fixed accuracy, a relative target of 1e-9
     within 4000 panel splits.
@@ -313,8 +334,7 @@ def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE)
     """
     if window.is_empty():
         return LogReal.zero()
-    u_lo, u_hi = window.gap2, window.gap1
-    total_ln, _, _ = _integrated_segment(_GapIntegrand(params), u_lo, u_hi, math.log(u_hi))
+    total_ln, _, _ = _integrated_segment(_GapIntegrand(params), window)
     return LogReal.from_log(total_ln)
 
 
@@ -381,12 +401,12 @@ class TypicalHeightLaw:
     normalizer: LogReal | None = None
 
     def __post_init__(self):
-        total_ln, *partition = _integrated_segment(_GapIntegrand(self.params), 0.0, math.pi, _LN_PI)
+        total_ln, *partition = _integrated_segment(_GapIntegrand(self.params), FULL_RANGE)
         if self.normalizer is None:
             self.normalizer = LogReal.from_log(total_ln)
         ln_j = self.normalizer.log_abs
         if not (total_ln > _NEG_INF and abs(ln_j - total_ln) <= quadrature.REL_TOL):
-            name = _integral_name(self.params, 0.0, math.pi, _LN_PI)
+            name = _integral_name(self.params, FULL_RANGE)
             raise ValueError(f"normalizer ln J = {ln_j!r} is not the {name}, "
                              f"ln J = {total_ln!r}, within {quadrature.REL_TOL}")
         # (segment, converged partition) of the full range of gaps
@@ -398,7 +418,7 @@ class TypicalHeightLaw:
         return cls(params)
 
     def _mass_of_gaps(self, t_lo: float, t_hi: float) -> float:
-        """Probability of gaps pi/2 - theta in [exp(t_lo), exp(t_hi)].
+        """Probability of gaps u = arccos(h) in [exp(t_lo), exp(t_hi)].
 
         Both edges are in t = ln(gap), the partition's own coordinate, so
         t_lo = -inf is the gap 0 (h = 1).  The window is cut to the
@@ -418,7 +438,7 @@ class TypicalHeightLaw:
         peak = seg.peak if lo <= seg.mode <= hi else max(seg.f_log(lo), seg.f_log(hi))
         if peak + math.log(hi - lo) < ln_j + math.log(quadrature.REL_TOL) - 40.0:
             return 0.0
-        name = _integral_name(self.params, math.exp(t_lo), math.exp(t_hi), t_hi)
+        name = f"{_integral_name(self.params, FULL_RANGE)} sliced to ln u in [{lo!r}, {hi!r}]"
         window = quadrature._sliced(seg.f_log, part, lo, hi, name)
         return min(math.exp(quadrature._ln_total(window) - ln_j), 1.0)
 
@@ -427,7 +447,7 @@ def typical_height_cdf(law: TypicalHeightLaw, h: float) -> float:
     """P(typical height <= h)."""
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
-    gap = math.acos(h)
+    gap = HeightInterval(-1.0, h).gap2
     return law._mass_of_gaps(math.log(gap) if gap > 0.0 else _NEG_INF, _LN_PI)
 
 
@@ -469,14 +489,9 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
         raise ValueError(f"statistic value must be positive, got {y}")
     d = law.params.d
     ln_t = math.log(y) + _log_cap_constant(d) - law.params.ln_n
-    # 1 - h^2 = t^(2/(d-1)); the gap is arcsin(sqrt(1 - h^2)), and a cap
-    # beyond a hemisphere (t >= 1) takes every H >= 0, the gap pi/2
-    ln_root_s = min(ln_t, 0.0) / (d - 1)
-    if ln_root_s > -20.0:
-        log_gap = math.log(math.asin(min(math.exp(ln_root_s), 1.0)))
-    else:
-        log_gap = ln_root_s  # arcsin(x) = x to relative O(x^2)
-    return law._mass_of_gaps(_NEG_INF, log_gap)
+    # 1 - h^2 = t^(2/(d-1)), so ln sin u = ln t / (d - 1); a cap beyond a
+    # hemisphere (t >= 1) takes every H >= 0, the gap pi/2
+    return law._mass_of_gaps(_NEG_INF, _log_gap(min(ln_t, 0.0) / (d - 1)))
 
 
 def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:

@@ -301,8 +301,21 @@ class TestHeightScales:
             concentration_height(PolytopeParams(5, 4))
 
     def test_window_ordering(self):
-        h1, h2 = height_window(PolytopeParams(10**6, 10), r1=10.0, r2=0.1)
-        assert 0.0 < h1 <= h2 < 1.0
+        w = height_window(PolytopeParams(10**6, 10), r1=10.0, r2=0.1)
+        assert 0.0 < w.h1 <= w.h2 < 1.0
+        assert math.pi / 2 > w.gap1 >= w.gap2 > 0.0
+
+    def test_window_carries_gaps_where_heights_round_to_one(self):
+        """At d = 3, ln n = 80 both heights round to 1.0, but each edge keeps
+        its gap, arcsin of sqrt(1 - h^2) = exp(ln(1 - h^2) / 2)."""
+        p = PolytopeParams.from_log(80.0, 3)
+        w = height_window(p)
+        assert (w.h1, w.h2) == (1.0, 1.0)
+        log_ratio = 80.0 - math.log(3.0)
+        ln_s1 = math.log(10.0) + math.log(3.0) + 1.5 * math.log(log_ratio) - 80.0
+        ln_s2 = 2.0 * (math.log(0.1) + math.log(3.0) - 80.0)
+        assert w.gap1 == pytest.approx(math.exp(0.5 * ln_s1), rel=1e-14)
+        assert w.gap2 == pytest.approx(math.exp(0.5 * ln_s2), rel=1e-14)
 
     def test_window_requires_large_ratio(self):
         with pytest.raises(ValueError):
@@ -313,8 +326,8 @@ class TestHeightScales:
         lim = math.sqrt(1.0 - math.exp(-2.0))
         errs = []
         for d in (50, 100, 200):
-            h1, h2 = height_window(PolytopeParams.from_log(float(d), d))
-            errs.append(max(abs(h1 - lim), abs(h2 - lim)))
+            w = height_window(PolytopeParams.from_log(float(d), d))
+            errs.append(max(abs(w.h1 - lim), abs(w.h2 - lim)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 0.05
 
@@ -325,21 +338,22 @@ class TestHeightScales:
         for d in (100, 400, 1600):
             p = PolytopeParams(d * d, d)
             lim = limit_height(spec, p)
-            h1, h2 = height_window(p)
-            errs.append(max(abs(h1 / lim - 1.0), abs(h2 / lim - 1.0)))
+            w = height_window(p)
+            errs.append(max(abs(w.h1 / lim - 1.0), abs(w.h2 / lim - 1.0)))
         assert errs[0] > errs[1] > errs[2]
 
-    @pytest.mark.parametrize("d", [10, 20])
+    @pytest.mark.parametrize("d", [3, 5, 10, 20])
     def test_window_first_moments(self, d):
         """Some facet outside [h1, h2] has probability at most the expected
         number of facets above h2 plus those below h1; each tail is tiny and
-        falls along ln n.  (At d = 3 and 5, h2 rounds to 1.0.)"""
+        falls along ln n.  Each tail is taken from the window's gaps: at
+        d = 3 and 5, h2 (and at d = 3, ln n = 80, h1 too) rounds to 1.0."""
         above, below = [], []
         for ln_n in (10.0, 20.0, 40.0, 80.0):
             p = PolytopeParams.from_log(ln_n, d)
-            h1, h2 = height_window(p)
-            above.append(expected_facets(p, HeightInterval(h2, 1.0)).ln())
-            below.append(expected_facets(p, HeightInterval(-1.0, h1)).ln())
+            w = height_window(p)
+            above.append(expected_facets(p, HeightInterval.upper_tail(w.gap2)).ln())
+            below.append(expected_facets(p, HeightInterval(-1.0, w.h1, gap2=w.gap1)).ln())
         for tail in (above, below):
             assert max(tail) < math.log(1e-6)
             assert all(b < a for a, b in zip(tail, tail[1:]))
@@ -351,8 +365,8 @@ class TestHeightScales:
         for n in (10**4, 10**6, 10**8):
             p = PolytopeParams(n, 6)
             lim = limit_height(spec, p)
-            h1, h2 = height_window(p)
-            errs.append(max(abs(h1 / lim - 1.0), abs(h2 / lim - 1.0)))
+            w = height_window(p)
+            errs.append(max(abs(w.h1 / lim - 1.0), abs(w.h2 / lim - 1.0)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_limit_height_needs_params_where_stated(self):

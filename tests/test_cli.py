@@ -97,6 +97,7 @@ class TestExact:
         assert code == 1
         assert out == ""
         assert "continued fraction is not positive" in err and "a=5e+18" in err
+        assert f"height integral at ln n = 45.0, d = {10**19} over the gaps" in err
 
 
 class TestAsym:
@@ -417,6 +418,17 @@ class TestFlagDomains:
             main(["asym", "--n", "10", "--d", "3", "--family", "d=3", "--regime", "linear"])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_height_window_reports_each_edge_with_its_gap(self, capsys):
+        # at d = 3, ln n = 80 both heights round to 1.0; the gaps do not
+        code, out, _ = run_cli(capsys, "asym", "--family", "d=3", "--ln-n", "80",
+                               "--d", "3", "--format", "json")
+        assert code == 0
+        window = spherefacets.height_window(PolytopeParams.from_log(80.0, 3))
+        assert json.loads(out)["height_window"] == {
+            "h1": 1.0, "h2": 1.0, "gap1": window.gap1, "gap2": window.gap2, "r1": 10.0, "r2": 0.1,
+        }
+        assert 0.0 < window.gap2 < window.gap1 < 1e-15
 
     def test_missing_height_window_is_still_reported(self, capsys):
         code, out, _ = run_cli(capsys, "asym", "--n", "10", "--d", "5",

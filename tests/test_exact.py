@@ -115,6 +115,15 @@ class TestParams:
         with pytest.raises(ConvergenceError, match=rf"not positive .* at a={re.escape(a)}, b=0\.5"):
             expected_facets(PolytopeParams.from_log(45.0, d))
 
+    @pytest.mark.parametrize("build", [expected_facets, TypicalHeightLaw.for_params],
+                             ids=["count", "law"])
+    def test_lost_continued_fraction_names_the_integral(self, build):
+        with pytest.raises(ConvergenceError, match=re.escape(
+            f"height integral at ln n = 45.0, d = {10**19} over the gaps [0.0, {math.pi!r}]: "
+            f"incomplete beta continued fraction is not positive"
+        )):
+            build(PolytopeParams.from_log(45.0, 10**19))
+
     def test_log_only_count(self):
         p = PolytopeParams.from_log(2000.0, 50)
         assert p.n is None
@@ -220,6 +229,27 @@ class TestWindows:
         for theta1, theta2 in ((0.4, 0.2), (-1.6, 0.0), (0.0, 1.6)):
             with pytest.raises(ValueError, match="theta1 <= theta2"):
                 HeightInterval.from_theta(theta1, theta2)
+
+    def test_given_gaps_and_angles_within_tolerance_are_accepted(self):
+        """from_theta's pi/2 - theta is the loosest legitimate route: at
+        theta = -0.5922360809382126 |cos(gap) - sin(theta)| is 3 * 2**-53."""
+        theta = -0.5922360809382126
+        assert abs(math.cos(0.5 * math.pi - theta) - math.sin(theta)) == 3 * 2.0**-53
+        HeightInterval.from_theta(theta, 0.0)
+        for theta in np.linspace(-0.5 * math.pi, 0.5 * math.pi, 2001):
+            HeightInterval.from_theta(theta, 0.5 * math.pi)
+
+    @pytest.mark.parametrize("kwargs, gap, h", [
+        ({"gap1": 0.1, "gap2": 0.05}, 0.1, 0.0),
+        ({"gap2": 1.0}, 1.0, 0.5),
+        ({"theta1": 0.2}, 0.5 * math.pi - 0.2, 0.0),
+        ({"gap1": math.acos(0.0) + 1e-15}, math.acos(0.0) + 1e-15, 0.0),
+    ], ids=["both gaps", "upper gap", "angle", "1e-15 off"])
+    def test_gap_disagreeing_with_its_height_raises_naming_both(self, kwargs, gap, h):
+        with pytest.raises(ValueError, match=re.escape(
+            f"gap {gap!r} is not arccos of its height {h!r} within {exact._GAP_TOL}"
+        )):
+            HeightInterval(0.0, 0.5, **kwargs)
 
     def test_upper_tail_carries_gap_exactly(self):
         w = HeightInterval.upper_tail(1e-12)
@@ -735,10 +765,13 @@ class TestLawPartition:
     (lambda: PolytopeParams(None, 3), "provide either n or ln_n, got n=None, ln_n=None, d=3"),
     (lambda: HeightInterval(0.0, 0.5, gap1=0.1, gap2=0.2),
      "gaps gap1=0.1, gap2=0.2 are not in window order"),
+    (lambda: HeightInterval(-1.0, 0.5, gap1=4.0),
+     "gaps gap1=4.0, gap2=1.0471975511965979 are not in window order"),
     (lambda: HeightInterval.upper_tail(4.0), "gap must lie in [0, pi], got 4.0"),
     (lambda: typical_height_cdf(TypicalHeightLaw.for_params(PolytopeParams(12, 4)), 1.5),
      "height must lie in [-1, 1], got 1.5"),
-], ids=["no point count", "gaps out of order", "tail gap past pi", "cdf height past 1"])
+], ids=["no point count", "gaps out of order", "gap past pi", "tail gap past pi",
+        "cdf height past 1"])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
