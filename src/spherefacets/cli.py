@@ -68,7 +68,9 @@ def _regime_from(ns) -> asym.RegimeSpec:
 def _run_exact(ns) -> dict:
     params = _params_from(ns)
     window = exact.HeightInterval(ns.h1, ns.h2)
-    count = exact.expected_facets(params, window)
+    law = exact.TypicalHeightLaw.for_params(params) if ns.cdf_points else None
+    full = law is not None and window == exact.FULL_RANGE
+    count = law.facets if full else exact.expected_facets(params, window)
     n_out = int(params.n) if params.n is not None else None
     report = {
         "n": n_out,
@@ -80,8 +82,7 @@ def _run_exact(ns) -> dict:
     }
     columns = ["n", "d", "h1", "h2", "ln_facets"]
     rows = [[n_out, params.d, window.h1, window.h2, count.log_abs]]
-    if ns.cdf_points:
-        law = exact.TypicalHeightLaw.for_params(params)
+    if law is not None:
         _, heights, cdf = exact.cdf_table(law, ns.cdf_points)
         table_rows = [[float(h), float(c)] for h, c in zip(heights, cdf)]
         report["cdf_table"] = {"columns": ["height", "cdf"], "rows": table_rows}
@@ -164,11 +165,12 @@ def _versus(quantity: str, reference: float, estimate: float, se: float = math.n
 
 def _run_compare(ns) -> dict:
     params = _params_from(ns)
-    exact_count = exact.expected_facets(params).to_float()
+    law = exact.TypicalHeightLaw.for_params(params)
+    exact_count = law.facets.to_float()
     spec = montecarlo.EnsembleSpec(params, replicates=ns.replicates, seed=ns.seed)
     result = montecarlo.estimate(spec)
     inside = 1.0 - asym.origin_outside_prob(int(params.n), params.d)
-    _, heights, cdf = exact.cdf_table(exact.TypicalHeightLaw.for_params(params))
+    _, heights, cdf = exact.cdf_table(law)
     ks = montecarlo.ks_distance(result.pooled_heights, heights, cdf)
     rows = [
         _versus("facet_count", exact_count, result.mean_facets, result.se_facets),

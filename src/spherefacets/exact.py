@@ -18,16 +18,16 @@ Numerically everything runs on the gap u = arccos(h) to the upper
 endpoint, which removes the d = 2 endpoint singularity, and mostly on
 t = ln(u), in which the log-integrand E is unimodal: the integrand mass
 can concentrate within u ~ exp(-2 ln(n) / d), far below float resolution
-of h itself.  Each count is one segment, integrated afresh: a window
-spanning less than a factor 2 in the gap is integrated linearly in u,
-with exact edges, and every other window in t.  The peak is located by
-golden-section search before paneling, magnitudes stay in log scale
-throughout, and counts are returned as LogReal.
+of h itself.  Each window is one segment: one spanning less than a
+factor 2 in the gap is integrated linearly in u, with exact edges, and
+every other one in t.  The peak is located by golden-section search
+before paneling, magnitudes stay in log scale throughout, and counts are
+returned as LogReal.
 
-A law integrates once.  ``TypicalHeightLaw`` keeps the converged
-partition of the full range (one segment in t), and every CDF, cap
-statistic, quantile and table query is a slice of that partition,
-refined only where the window needs it.
+A shape's full range is integrated once, by its law.  ``TypicalHeightLaw``
+keeps the converged partition of the full range (one segment in t), its
+total gives the full-range count, and every CDF, cap statistic, quantile
+and table query is a slice of it.  Other windows integrate afresh.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -63,8 +63,8 @@ __all__ = [
 HALF_PI = 0.5 * math.pi
 _NEG_INF = float("-inf")
 _MAX_EXP_ARG = 709.0
-# below this ln(gap), sin(u) = u and cos(u) = 1 in float
-_SMALL_LOG_GAP = -40.0
+# from this ln(gap) down, sin(u) = u and cos(u) = 1 in float
+_SMALL_LOG_GAP = -20.0
 _LN_PI = math.log(math.pi)
 # |cos(gap) - h| allowed a window's edge; from_theta's pi/2 - theta reaches 3 * 2**-53
 _GAP_TOL = 2.0 * math.ulp(1.0)
@@ -141,8 +141,8 @@ class PolytopeParams:
 def _log_gap(log_s: float) -> float:
     """ln u of the gap u in [0, pi/2] with ln sin u = log_s: atan2(s, cos u),
     well conditioned as s -> 1 where arcsin is not, and from ln s = -20 down,
-    where arcsin(s) = s to relative O(s^2), ln s itself, also below float range."""
-    if log_s <= -20.0:
+    where arcsin(s) = s in float, ln s itself, also below float range."""
+    if log_s <= _SMALL_LOG_GAP:
         return log_s
     return math.log(math.atan2(math.exp(log_s), math.sqrt(-math.expm1(2.0 * log_s))))
 
@@ -210,8 +210,8 @@ class _GapIntegrand:
     |cos u| through its log and the larger through log1p of the smaller's
     square, so nothing cancels near u = 0, pi/2 or pi.  ``at_log_gap``
     evaluates E at u = exp(t) for gaps below float range (the mass sits at
-    gaps ~ exp(-2 ln(n)/d), which underflows once ln n >> 350 d); below
-    t = ``_SMALL_LOG_GAP``, ln sin u = t in float.
+    gaps ~ exp(-2 ln(n)/d), which underflows once ln n >> 350 d); from
+    t = ``_SMALL_LOG_GAP`` down, ln sin u = t in float.
     """
 
     def __init__(self, params: PolytopeParams):
@@ -353,34 +353,25 @@ def log_binomial(params: PolytopeParams) -> float:
     return _log_binomial(k, params.ln_n - math.log(k))
 
 
+def _log_count_factor(params: PolytopeParams) -> float:
+    """ln binom(n, d) + ln 2 + ln c_out: ln F less ln J over any window."""
+    d = params.d
+    return log_binomial(params) + math.log(2.0) + log_c_alpha(0.5 * (d * d - 2 * d - 1))
+
+
 def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
     """Expected number of facets with height in the window, as a LogReal.
 
-    A window's count is zero when ln F lies below float range.  Every
-    polytope has at least d + 1 facets, so a full-range ln F below
-    ln(d + 1) (less a relative slack of 1e-6 in F) raises QuadratureError,
-    naming ln n, d and ln F.
+    The full range's count is the law's, ``TypicalHeightLaw(params).facets``,
+    which refuses a count below d + 1.  Any other window integrates its own
+    segment, and its count is zero when ln F lies below float range.
     """
+    if window == FULL_RANGE:
+        return TypicalHeightLaw(params).facets
     integral = height_integral(params, window)
-    full = window == FULL_RANGE
-    if integral.is_zero() and not full:
+    if integral.is_zero():
         return LogReal.zero()
-    d = params.d
-    ln_f = _NEG_INF if integral.is_zero() else (
-        log_binomial(params)
-        + math.log(2.0)
-        + log_c_alpha(0.5 * (d * d - 2 * d - 1))
-        + integral.ln()
-    )
-    if full and not ln_f >= math.log(d + 1) + math.log1p(-1e-6):
-        got = "came back zero" if integral.is_zero() else f"gives ln F = {ln_f!r}"
-        raise QuadratureError(
-            f"the full-range height integral at ln n = {params.ln_n!r}, d = {d} {got}, "
-            f"below any count of at least d + 1 facets",
-            integral.log_abs,
-            math.inf,
-        )
-    return LogReal.from_log(ln_f)
+    return LogReal.from_log(_log_count_factor(params) + integral.ln())
 
 
 @dataclass
@@ -388,9 +379,12 @@ class TypicalHeightLaw:
     """Height distribution of the typical facet: CDF(h) = J[-1, h] / J[-1, 1].
 
     A law is one partition, built with it: the converged panels of the
-    full range, one segment in t = ln(gap).  The normalizer J is the
-    partition's total; one given (as ``height_integral(params)``) must
-    agree with it within ``REL_TOL`` in ln, else ValueError names both.
+    full range, one segment in t = ln(gap).  Its total J gives the
+    full-range count ``facets`` = binom(n, d) * 2 * c_out * J.  Every
+    polytope has at least d + 1 facets, so a ln F below ln(d + 1) (less a
+    relative slack of 1e-6 in F) raises QuadratureError, naming ln n, d
+    and ln F.  The normalizer is J; one given (as ``height_integral(params)``)
+    must agree with it within ``REL_TOL`` in ln, else ValueError names both.
     Every query is a slice of the partition: panels wholly inside the
     window are reused, the one or two the window cuts are evaluated
     fresh, and the slice is refined until its error is within
@@ -399,13 +393,21 @@ class TypicalHeightLaw:
 
     params: PolytopeParams
     normalizer: LogReal | None = None
+    facets: LogReal = field(init=False)
 
     def __post_init__(self):
         total_ln, *partition = _integrated_segment(_GapIntegrand(self.params), FULL_RANGE)
+        d, ln_f = self.params.d, _log_count_factor(self.params) + total_ln
+        if not ln_f >= math.log(d + 1) + math.log1p(-1e-6):
+            got = "came back zero" if total_ln == _NEG_INF else f"gives ln F = {ln_f!r}"
+            raise QuadratureError(
+                f"the full-range height integral at ln n = {self.params.ln_n!r}, d = {d} {got}, "
+                f"below any count of at least d + 1 facets", total_ln, math.inf)
+        self.facets = LogReal.from_log(ln_f)
         if self.normalizer is None:
             self.normalizer = LogReal.from_log(total_ln)
         ln_j = self.normalizer.log_abs
-        if not (total_ln > _NEG_INF and abs(ln_j - total_ln) <= quadrature.REL_TOL):
+        if not abs(ln_j - total_ln) <= quadrature.REL_TOL:
             name = _integral_name(self.params, FULL_RANGE)
             raise ValueError(f"normalizer ln J = {ln_j!r} is not the {name}, "
                              f"ln J = {total_ln!r}, within {quadrature.REL_TOL}")

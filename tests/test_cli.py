@@ -13,6 +13,7 @@ import pytest
 import spherefacets
 from spherefacets import (
     PolytopeParams,
+    exact,
     classify,
     expected_facets,
     facet_count_asymptotic,
@@ -182,6 +183,25 @@ class TestCompare:
         rows = json.loads(out)["table"]["rows"]
         assert [row[3] for row in rows] == [None, 0.0, None]
         assert [row[4] for row in rows] == [None, None, None]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--n", "12", "--d", "4", "--replicates", "200", "--seed", "7"],
+    ["exact", "--n", "50", "--d", "4", "--cdf-points", "200"],
+], ids=["compare", "exact cdf points"])
+def test_count_and_table_share_one_full_range_integral(capsys, monkeypatch, argv):
+    # the count and the CDF table both read one law, built once
+    windows = []
+    engine = exact._integrated_segment
+
+    def counted(f_u, window):
+        windows.append(window)
+        return engine(f_u, window)
+
+    monkeypatch.setattr(exact, "_integrated_segment", counted)
+    code, _, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert windows == [exact.FULL_RANGE]
 
 
 class TestScan:

@@ -108,6 +108,15 @@ class TestParams:
         with pytest.raises(QuadratureError, match=re.escape(f"ln n = 1e+140, d = {d} {got}")):
             expected_facets(PolytopeParams.from_log(1e140, d))
 
+    @pytest.mark.parametrize("ln_n, d, got", [
+        (1e140, 10**20, "gives ln F = 0.0,"),
+        (2.2471164185778946e307, 4, "came back zero"),
+    ])
+    def test_law_over_a_full_range_below_d_plus_one_raises(self, ln_n, d, got):
+        # the law owns the full-range count, so it refuses what the count refuses
+        with pytest.raises(QuadratureError, match=re.escape(f"ln n = {ln_n!r}, d = {d} {got}")):
+            TypicalHeightLaw(PolytopeParams.from_log(ln_n, d))
+
     @pytest.mark.parametrize("d, a", [(10**17, "5e+16"), (10**19, "5e+18")])
     def test_lost_continued_fraction_raises_naming_its_parameters(self, d, a):
         # at ln n = 45 the incomplete beta continued fraction comes back
