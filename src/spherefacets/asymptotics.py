@@ -34,13 +34,14 @@ import enum
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import MAX_DIMENSION, HeightInterval, PolytopeParams, _log_gap, log_binomial
 from .logreal import LogReal, log_add_exp
 from .numerics import LOG_SQRT_2PI, _log_binomial, _log_cap_constant, _log_gamma_half_ratio
-from .numerics import log_norm_cdf
+from .numerics import _integer, log_norm_cdf
 from .solvers import newton_bracketed
 
 __all__ = [
@@ -335,9 +336,8 @@ def _first_negative(f, origin: float, step: float, what: str, rho: float) -> flo
 # ----------------------------------------------------------------------
 
 def facets_per_vertex_limit(d: int) -> LogReal:
-    """Limit of (expected facets)/n as n -> infinity at fixed dimension d."""
-    if not 2 <= d <= MAX_DIMENSION:
-        raise ValueError(f"dimension must lie in [2, 10**154], got d={d}")
+    """Limit of (expected facets)/n as n -> infinity at integer d in [2, ``MAX_DIMENSION``]."""
+    d = _integer("d", d, 2, MAX_DIMENSION)
     q = 0.5 * (d * d - 2 * d)
     ln_k = (
         d * math.log(2.0)
@@ -375,8 +375,9 @@ def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> 
     Each edge carries its gap u = arccos(h) from ln sin u = ln(1 - h^2)/2,
     exact where h rounds to 1.  r1 must be large enough and r2 small
     enough; the defaults are heuristic.  Raises when a radicand is
-    nonpositive (n/d too small for the window to exist) or when the
-    endpoints cross (r1/r2 misuse).
+    nonpositive (n/d too small for the window to exist), when the
+    endpoints cross (r1/r2 misuse), or when the upper gap is below float
+    range (``sys.float_info.min``; at d = 3 from ln n = 708 on).
     """
     if not (r1 > 0 and r2 > 0):
         raise ValueError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
@@ -399,6 +400,9 @@ def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> 
             f"endpoints crossed (h1={h1} > h2={h2}): r1 too small or r2 too large"
         )
     gap1, gap2 = (math.exp(_log_gap(0.5 * arg)) for arg in (arg1, arg2))
+    if gap2 < sys.float_info.min:  # gap2 <= gap1: the upper edge leaves float range first
+        raise ValueError(f"height window at ln n = {ln_n!r}, d = {d}: the upper edge's gap, with "
+                         f"ln sin u = {0.5 * arg2!r}, is {gap2!r}, below float range")
     return HeightInterval(h1, h2, gap1=gap1, gap2=gap2)
 
 
@@ -565,9 +569,8 @@ class HausdorffAsymptotic:
 
 
 def glasauer_schneider_constant(d: int) -> float:
-    """Constant in the fixed-dimension Hausdorff asymptotic c_d (ln n / n)^(2/(d-1))."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    """Constant c_d of the Hausdorff asymptotic c_d (ln n / n)^(2/(d-1)) at integer d >= 2."""
+    d = _integer("d", d, 2)
     return 0.5 * math.exp((2.0 / (d - 1.0)) * _log_cap_constant(d))
 
 
@@ -606,13 +609,12 @@ def hausdorff_asymptotic(
 # ----------------------------------------------------------------------
 
 def origin_outside_prob(n: int, d: int) -> float:
-    """P(origin outside the hull of n symmetric random points in R^d).
+    """P(origin outside the hull of n symmetric random points in R^d), integers n, d >= 1.
 
     Wendel's formula: 2^(1-n) * sum_{k=0}^{d-1} binom(n-1, k); exact
     rational arithmetic up to moderate n, log-domain accumulation beyond.
     """
-    if not (n >= 1 and d >= 1):
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = _integer("n", n, 1), _integer("d", d, 1)
     if d >= n:
         return 1.0
     if n <= 4000:

@@ -33,7 +33,6 @@ and table query is a slice of it.  Other windows integrate afresh.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
@@ -42,7 +41,7 @@ import numpy as np
 from . import quadrature
 from .logreal import LogReal
 from .numerics import ConvergenceError, _log_binomial, _log_cap_constant, _log_half_tail
-from .numerics import log_c_alpha
+from .numerics import _integer, log_c_alpha
 from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
@@ -77,7 +76,7 @@ MAX_DIMENSION = 10**154
 class PolytopeParams:
     """Point count and ambient dimension, n > d >= 2, d <= ``MAX_DIMENSION``.
 
-    d is any integer by ``operator.index`` (numpy's too), kept as an int.
+    d is an integer by ``operator.index`` (numpy's too, else ValueError), kept as an int.
     ``n`` may be omitted in favor of ``ln_n`` for counts beyond float
     range (needed once n grows like exp(rho * d)).
     """
@@ -87,13 +86,7 @@ class PolytopeParams:
     ln_n: float | None = None
 
     def __post_init__(self):
-        try:  # a bool becomes 0 or 1, below 2
-            d = operator.index(self.d)
-        except TypeError:
-            d = None
-        if d is None or not 2 <= d <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be an integer in [2, 10**154], got d={self.d}")
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", _integer("d", self.d, 2, MAX_DIMENSION))
         if self.n is not None:
             try:
                 n = float(self.n)
@@ -384,7 +377,8 @@ class TypicalHeightLaw:
     polytope has at least d + 1 facets, so a ln F below ln(d + 1) (less a
     relative slack of 1e-6 in F) raises QuadratureError, naming ln n, d
     and ln F.  The normalizer is J; one given (as ``height_integral(params)``)
-    must agree with it within ``REL_TOL`` in ln, else ValueError names both.
+    must agree with it within ``REL_TOL`` in ln, else ValueError names both,
+    and is then replaced by J, so a law answers the same however it was built.
     Every query is a slice of the partition: panels wholly inside the
     window are reused, the one or two the window cuts are evaluated
     fresh, and the slice is refined until its error is within
@@ -404,13 +398,12 @@ class TypicalHeightLaw:
                 f"the full-range height integral at ln n = {self.params.ln_n!r}, d = {d} {got}, "
                 f"below any count of at least d + 1 facets", total_ln, math.inf)
         self.facets = LogReal.from_log(ln_f)
-        if self.normalizer is None:
-            self.normalizer = LogReal.from_log(total_ln)
-        ln_j = self.normalizer.log_abs
-        if not abs(ln_j - total_ln) <= quadrature.REL_TOL:
+        given = self.normalizer
+        if given is not None and not abs(given.log_abs - total_ln) <= quadrature.REL_TOL:
             name = _integral_name(self.params, FULL_RANGE)
-            raise ValueError(f"normalizer ln J = {ln_j!r} is not the {name}, "
+            raise ValueError(f"normalizer ln J = {given.log_abs!r} is not the {name}, "
                              f"ln J = {total_ln!r}, within {quadrature.REL_TOL}")
+        self.normalizer = LogReal.from_log(total_ln)
         # (segment, converged partition) of the full range of gaps
         self._partition = tuple(partition)
 
@@ -498,7 +491,7 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
 
 def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     """Table (theta, height, cdf) of ``num`` rows of the typical-height
-    CDF, theta ascending from -pi/2 to pi/2.
+    CDF, theta ascending from -pi/2 to pi/2; ``num`` is an integer >= 1.
 
     Rows are placed in proportion to mass: each converged panel of the
     law's partition (one segment in ln(gap)) is cut into
@@ -511,8 +504,7 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     mass lies below float resolution of theta at pi/2, rows collapse to
     theta = pi/2 and h = 1, but their CDF values stay right.
     """
-    if num < 1:
-        raise ValueError(f"cdf_table needs num >= 1 rows, got num={num}")
+    num = _integer("num", num, 1)
     # the law's partition is the full range as one segment in t = ln(gap)
     seg, part = law._partition
     # rows run from the largest gap down: a massless row at pi, one at the

@@ -32,13 +32,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 import numpy as np
 
 from .exact import PolytopeParams
+from .numerics import _integer
 
 __all__ = [
     "EnsembleSpec",
@@ -106,17 +106,10 @@ def _check_census_size(n: int, d: int) -> int:
     return floats
 
 
-def _is_int_in(value, low: int, high: float) -> bool:
-    """Whether ``value`` is an integer (by ``operator.index``) in [low, high)."""
-    try:
-        return low <= operator.index(value) < high
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A reproducible batch of facet censuses."""
+    """A reproducible batch of facet censuses; ``replicates`` in [1, 2**32 - 1]
+    and ``seed`` >= 0 are integers, kept as ints."""
 
     params: PolytopeParams
     replicates: int
@@ -127,12 +120,8 @@ class EnsembleSpec:
         if self.params.n is None:
             raise ValueError("Monte Carlo needs an exact point count")
         # a replicate index is one uint32 word of its stream's spawn key
-        if not _is_int_in(self.replicates, 1, 2**32):
-            raise ValueError(
-                f"replicates must be an integer in [1, 2**32), got {self.replicates!r}"
-            )
-        if not _is_int_in(self.seed, 0, math.inf):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, low, high in (("replicates", 1, 2**32 - 1), ("seed", 0, math.inf)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
         _check_census_size(int(self.params.n), self.params.d)
 
 
@@ -188,7 +177,6 @@ def _stream_states(seed: int, keys) -> np.ndarray:
     and the seed's words come first, so only r and a, the last two entropy
     words, are arrays; everything before them is plain integers.
     """
-    seed = operator.index(seed)
     keys = np.asarray(keys, dtype=np.uint32).reshape(-1, 2)
     words = [seed & _MASK32]
     while seed > _MASK32:
@@ -264,14 +252,13 @@ def _sphere_stack(n: int, d: int, generators: list) -> np.ndarray:
 
 
 def sample_sphere(n: int, d: int, seed) -> np.ndarray:
-    """n i.i.d. uniform points on the unit sphere in R^d.
+    """n i.i.d. uniform points on the unit sphere in R^d, integers n >= 1 and d >= 2.
 
     ``seed`` is an integer, a SeedSequence, or a Generator; the same seed
     always yields the same points.  Sampling normalizes standard Gaussian
     vectors, which is uniform in every dimension.
     """
-    if n < 1 or d < 2:
-        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    n, d = _integer("n", n, 1), _integer("d", d, 2)
     return _sphere_stack(n, d, [np.random.default_rng(seed)])[0]
 
 

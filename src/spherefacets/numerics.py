@@ -25,6 +25,7 @@ comparison between the rescaled symmetric-beta CDF and the normal CDF.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,20 @@ _MAX_TERMS = 500
 
 class ConvergenceError(ArithmeticError):
     """An iterative scheme hit its step cap before reaching its tolerance."""
+
+
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """An integer input (dimension, count, seed, size) as an int in [low, high], taken
+    by ``operator.index``: numpy integers pass and a bool is 0 or 1, while a float,
+    a string or a value out of range raises ValueError naming it."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = None
+    if i is None or not low <= i <= high:
+        top = high if high < 2**53 else f"{high:.0e}"  # 10**154 as 1e+154
+        raise ValueError(f"{name} must be an integer in [{low}, {top}], got {name}={value}")
+    return int(i)
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +298,9 @@ def log_inner_cdf(h: float, d: int) -> float:
 
     G(h) is the normalized integral of (1 - s**2)**((d-3)/2) from -1 to h,
     i.e. the regularized incomplete beta at x = (1+h)/2 with both
-    parameters (d-1)/2.
+    parameters (d-1)/2.  d is an integer >= 2.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    d = _integer("d", d, 2)
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
     return _log_sym_beta_cdf(h, 0.5 * (d - 1))
@@ -430,8 +444,9 @@ def check_bounds_suite(
 
 
 def random_bounds_grid(num: int, seed: int = 0) -> dict:
-    """Hypothesis-satisfying random grids for the three inequality suites."""
-    rng = np.random.default_rng(seed)
+    """Random grids of integer ``num`` >= 0 points per inequality suite, from ``seed`` >= 0."""
+    num = _integer("num", num, 0)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     n = np.exp(rng.uniform(np.log(2.0), np.log(500.0), num))
     x = 0.5 * n * rng.uniform(0.0, 1.0, num)
     h_tail = rng.uniform(0.01, 0.99, num)

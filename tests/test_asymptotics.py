@@ -254,6 +254,10 @@ class TestConstants:
             with pytest.raises(ValueError, match=re.escape(f"got d={d}")):
                 facets_per_vertex_limit(d)
 
+    def test_limit_takes_numpy_integers_as_ints(self):
+        ln_k = facets_per_vertex_limit(np.int64(4)).log_abs
+        assert type(ln_k) is float and ln_k == facets_per_vertex_limit(4).log_abs
+
     def test_limit_against_exact_ratio(self):
         k4 = facets_per_vertex_limit(4).to_float()
         f = expected_facets(PolytopeParams(10**7, 4)).to_float()
@@ -316,6 +320,12 @@ class TestHeightScales:
         ln_s2 = 2.0 * (math.log(0.1) + math.log(3.0) - 80.0)
         assert w.gap1 == pytest.approx(math.exp(0.5 * ln_s1), rel=1e-14)
         assert w.gap2 == pytest.approx(math.exp(0.5 * ln_s2), rel=1e-14)
+
+    def test_window_builds_while_its_gaps_are_normal_floats(self):
+        """At d = 3, ln n = 700 the upper gap is 2.96e-305; from ln n = 708 on
+        it is below the smallest normal float and the window is refused."""
+        w = height_window(PolytopeParams.from_log(700.0, 3))
+        assert w.gap2 == pytest.approx(2.9579029631277846e-305, rel=1e-12)
 
     def test_window_requires_large_ratio(self):
         with pytest.raises(ValueError):
@@ -541,6 +551,22 @@ class TestHausdorff:
 # n = 2**53 + 2 is an exact float whose ln rounds to ln d
 _N_AT_D = PolytopeParams(2**53 + 2, 2**53)
 
+# each integer argument refuses a fraction, a string, None and an integer
+# outside its range with one message naming it:
+# (label, call of the argument, name, range, fraction, integer outside)
+_INTEGER_ARGS = [
+    ("facets_per_vertex_limit", facets_per_vertex_limit, "d", "[2, 1e+154]", 2.5, 10**154 + 1),
+    ("glasauer_schneider_constant", glasauer_schneider_constant, "d", "[2, inf]", 2.5, 0),
+    ("wendel n", lambda n: origin_outside_prob(n, 3), "n", "[1, inf]", 4001.5, -1),
+    ("wendel d", lambda d: origin_outside_prob(10, d), "d", "[1, inf]", 2.5, 0),
+]
+_INTEGER_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be an integer in {bounds}, got {name}={value}")
+    for label, call, name, bounds, fraction, outside in _INTEGER_ARGS
+    for kind, value in (("fraction", fraction), ("string", "3"), ("None", None),
+                        ("outside", outside))
+]
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: height_window(PolytopeParams(10**6, 3), r1=0.0),
@@ -557,10 +583,19 @@ _N_AT_D = PolytopeParams(2**53 + 2, 2**53)
     (lambda: typical_height_asymptotic(RegimeSpec(Regime.SUBLINEAR_MID),
                                        PolytopeParams.from_log(10.0, 20)),
      "sublinear regime needs an exact point count"),
-    (lambda: glasauer_schneider_constant(1), "dimension must be at least 2, got 1"),
-    (lambda: origin_outside_prob(0, 3), "need n >= 1 and d >= 1, got n=0, d=3"),
+    (lambda: glasauer_schneider_constant(1), "d must be an integer in [2, inf], got d=1"),
+    (lambda: origin_outside_prob(0, 3), "n must be an integer in [1, inf], got n=0"),
+    (lambda: height_window(PolytopeParams.from_log(745.0, 3)),
+     "height window at ln n = 745.0, d = 3: the upper edge's gap, with "
+     "ln sin u = -746.203972804326, is 0.0, below float range"),
+    (lambda: height_window(PolytopeParams.from_log(1600.0, 3)),
+     "height window at ln n = 1600.0, d = 3: the upper edge's gap"),
+    *((lambda call=call, value=value: call(value), message)
+      for _, call, value, message in _INTEGER_ROWS),
 ], ids=["r1", "n at d", "upper endpoint", "crossed", "superexponential scale",
-        "subexponential count", "sublinear law", "dimension", "wendel n"])
+        "subexponential count", "sublinear law", "dimension", "wendel n",
+        "window gap below float range", "window gaps both zero",
+        *(row[0] for row in _INTEGER_ROWS)])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -19,7 +19,9 @@ from spherefacets import (
     facet_count_asymptotic,
     parse_family,
 )
+from spherefacets import cli
 from spherefacets.cli import emit, main
+from spherefacets.numerics import BoundsReport, Violation
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +254,16 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["failures"] == 0
+
+    def test_a_violated_inequality_exits_one(self, capsys, monkeypatch):
+        violated = BoundsReport(checked=1, violations=[
+            Violation("exp_sandwich", (0.5, 2.0), "above exp(-x)", 1.0)])
+        monkeypatch.setattr(cli, "check_bounds_suite", lambda **points: violated)
+        code, out, _ = run_cli(capsys, "verify", "--points", "10", "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["failures"] == 1
+        assert report["table"]["rows"][0] == ["inequality_suites", 1, 1]
 
 
 class TestHumanFormat:

@@ -759,6 +759,19 @@ class TestLawPartition:
         for h in (-0.3, 0.2, 0.8):
             assert typical_height_cdf(law, h) == typical_height_cdf(built, h)
 
+    def test_law_from_a_normalizer_answers_by_its_own_total(self):
+        """A normalizer off by 5e-10 in ln J passes the check but moves no
+        answer: every query divides by the partition's own total."""
+        params = PolytopeParams(50, 4)
+        own = TypicalHeightLaw(params)
+        law = TypicalHeightLaw(params, LogReal.from_log(own.normalizer.ln() + 5e-10))
+        assert law.normalizer == own.normalizer
+        assert typical_height_cdf(law, 0.3) == typical_height_cdf(own, 0.3)
+        assert typical_height_quantile(law, 0.5) == typical_height_quantile(own, 0.5)
+        assert gamma_statistic_cdf(law, 2.0) == gamma_statistic_cdf(own, 2.0)
+        for got, want in zip(cdf_table(law), cdf_table(own)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("ln_j", [0.0, -math.inf])
     def test_mismatched_normalizer_raises_naming_both(self, ln_j):
         params = PolytopeParams(50, 4)
@@ -770,6 +783,22 @@ class TestLawPartition:
             TypicalHeightLaw(params, LogReal.from_log(ln_j))
 
 
+# each integer argument refuses a fraction, a string, None and an integer
+# outside its range with one message naming it:
+# (label, call of the argument, name, range, integer outside)
+_INTEGER_ARGS = [
+    ("params d", lambda d: PolytopeParams(10**6, d), "d", "[2, 1e+154]", 10**154 + 1),
+    ("log params d", lambda d: PolytopeParams.from_log(10.0, d), "d", "[2, 1e+154]", 1),
+    ("table num", lambda num: cdf_table(TypicalHeightLaw(PolytopeParams(12, 4)), num),
+     "num", "[1, inf]", 0),
+]
+_INTEGER_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be an integer in {bounds}, got {name}={value}")
+    for label, call, name, bounds, outside in _INTEGER_ARGS
+    for kind, value in (("fraction", 2.5), ("string", "3"), ("None", None), ("outside", outside))
+]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: PolytopeParams(None, 3), "provide either n or ln_n, got n=None, ln_n=None, d=3"),
     (lambda: HeightInterval(0.0, 0.5, gap1=0.1, gap2=0.2),
@@ -779,8 +808,10 @@ class TestLawPartition:
     (lambda: HeightInterval.upper_tail(4.0), "gap must lie in [0, pi], got 4.0"),
     (lambda: typical_height_cdf(TypicalHeightLaw.for_params(PolytopeParams(12, 4)), 1.5),
      "height must lie in [-1, 1], got 1.5"),
+    *((lambda call=call, value=value: call(value), message)
+      for _, call, value, message in _INTEGER_ROWS),
 ], ids=["no point count", "gaps out of order", "gap past pi", "tail gap past pi",
-        "cdf height past 1"])
+        "cdf height past 1", *(row[0] for row in _INTEGER_ROWS)])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -622,12 +622,14 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
     def test_spec_rejects_bad_seed(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in [0, inf], got seed={seed}")):
             EnsembleSpec(PolytopeParams(12, 4), replicates=1, seed=seed)
 
     @pytest.mark.parametrize("replicates", [0, -2, 2.0, 2**32])
     def test_spec_rejects_bad_replicates(self, replicates):
-        with pytest.raises(ValueError, match=r"replicates must be an integer in \[1, 2\*\*32\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"replicates must be an integer in [1, 4294967295], got replicates={replicates}")):
             EnsembleSpec(PolytopeParams(12, 4), replicates=replicates, seed=0)
 
     def test_spec_accepts_integer_extremes(self):
@@ -860,3 +862,28 @@ def test_record_verify_checks_normal_and_vertices(normal, height, valid):
     points = np.array([[math.sqrt(0.5), math.sqrt(0.5)], [math.sqrt(0.5), -math.sqrt(0.5)],
                        [-1.0, 0.0]])
     assert montecarlo.FacetRecord((0, 1), np.array(normal), height).verify(points) is valid
+
+
+# each integer argument refuses a fraction, a string, None and an integer
+# outside its range with one message naming it:
+# (label, call of the argument, name, range, integer outside)
+_INTEGER_ARGS = [
+    ("sample n", lambda n: sample_sphere(n, 3, 0), "n", "[1, inf]", 0),
+    ("sample d", lambda d: sample_sphere(10, d, 0), "d", "[2, inf]", 1),
+    ("replicates", lambda r: EnsembleSpec(PolytopeParams(12, 4), replicates=r, seed=0),
+     "replicates", "[1, 4294967295]", 2**32),
+    ("seed", lambda seed: EnsembleSpec(PolytopeParams(12, 4), replicates=1, seed=seed),
+     "seed", "[0, inf]", -1),
+]
+_INTEGER_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be an integer in {bounds}, got {name}={value}")
+    for label, call, name, bounds, outside in _INTEGER_ARGS
+    for kind, value in (("fraction", 2.5), ("string", "3"), ("None", None), ("outside", outside))
+]
+
+
+@pytest.mark.parametrize("call, value, message", [row[1:] for row in _INTEGER_ROWS],
+                         ids=[row[0] for row in _INTEGER_ROWS])
+def test_input_checks_name_the_input(call, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)

@@ -381,12 +381,30 @@ class TestBoundsSuite:
             check_bounds_suite(tail_points=[(0.5, 3.0, 1.0)])
 
 
+# each integer argument refuses a fraction, a string, None and an integer
+# outside its range with one message naming it:
+# (label, call of the argument, name, range, integer outside)
+_INTEGER_ARGS = [
+    ("inner cdf d", lambda d: log_inner_cdf(0.3, d), "d", "[2, inf]", 1),
+    ("grid num", random_bounds_grid, "num", "[0, inf]", -1),
+    ("grid seed", lambda seed: random_bounds_grid(3, seed), "seed", "[0, inf]", -1),
+]
+_INTEGER_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be an integer in {bounds}, got {name}={value}")
+    for label, call, name, bounds, outside in _INTEGER_ARGS
+    for kind, value in (("fraction", 2.5), ("string", "3"), ("None", None), ("outside", outside))
+]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: log_norm_cdf(math.nan), "log_norm_cdf requires a finite argument, got h=nan"),
     (lambda: gauss_beta_norm(0.0), "alpha must be positive, got 0.0"),
     (lambda: scaled_beta_cdf(0.5, -1.0), "alpha must be positive, got -1.0"),
     (lambda: scaled_beta_cdf(2.0, 1.0), "|h| must not exceed sqrt(alpha), got h=2.0, alpha=1.0"),
-], ids=["nan height", "normalizer alpha", "cdf alpha", "height past sqrt(alpha)"])
+    *((lambda call=call, value=value: call(value), message)
+      for _, call, value, message in _INTEGER_ROWS),
+], ids=["nan height", "normalizer alpha", "cdf alpha", "height past sqrt(alpha)",
+        *(row[0] for row in _INTEGER_ROWS)])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
