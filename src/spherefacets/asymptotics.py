@@ -38,10 +38,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MAX_DIMENSION, HeightInterval, PolytopeParams, _log_gap, log_binomial
-from .logreal import LogReal, log_add_exp
+from .exact import HeightInterval, PolytopeParams, _log_gap, log_binomial
+from .logreal import LogReal
 from .numerics import LOG_SQRT_2PI, _log_binomial, _log_cap_constant, _log_gamma_half_ratio
-from .numerics import _integer, log_norm_cdf
+from .numerics import MAX_DIMENSION, _integer, log_norm_cdf
 from .solvers import newton_bracketed
 
 __all__ = [
@@ -569,8 +569,9 @@ class HausdorffAsymptotic:
 
 
 def glasauer_schneider_constant(d: int) -> float:
-    """Constant c_d of the Hausdorff asymptotic c_d (ln n / n)^(2/(d-1)) at integer d >= 2."""
-    d = _integer("d", d, 2)
+    """Constant c_d of the Hausdorff asymptotic c_d (ln n / n)^(2/(d-1)) at integer d
+    in [2, ``MAX_DIMENSION``]."""
+    d = _integer("d", d, 2, MAX_DIMENSION)
     return 0.5 * math.exp((2.0 / (d - 1.0)) * _log_cap_constant(d))
 
 
@@ -612,16 +613,21 @@ def origin_outside_prob(n: int, d: int) -> float:
     """P(origin outside the hull of n symmetric random points in R^d), integers n, d >= 1.
 
     Wendel's formula: 2^(1-n) * sum_{k=0}^{d-1} binom(n-1, k); exact
-    rational arithmetic up to moderate n, log-domain accumulation beyond.
+    rational arithmetic up to moderate n, beyond it one ``math.fsum`` of the
+    terms over the largest, at k = min(d-1, (n-1)//2); n is within float range.
     """
-    n, d = _integer("n", n, 1), _integer("d", d, 1)
+    n, d = _integer("n", n, 1, int(sys.float_info.max)), _integer("d", d, 1)
     if d >= n:
         return 1.0
     if n <= 4000:
         total = sum(math.comb(n - 1, k) for k in range(d))
         return float(Fraction(total, 1 << (n - 1)))
-    log_sum = 0.0  # the k = 0 term, binom(n - 1, 0) = 1
-    for j in (min(k, n - 1 - k) for k in range(1, d)):
-        log_sum = log_add_exp(log_sum, _log_binomial(j, math.log((n - 1) / j)))
+
+    def log_term(k: int) -> float:  # ln binom(n - 1, k)
+        j = min(k, n - 1 - k)
+        return _log_binomial(j, math.log((n - 1) / j)) if j else 0.0
+
+    top = log_term(min(d - 1, (n - 1) // 2))
+    log_sum = top + math.log(math.fsum(math.exp(log_term(k) - top) for k in range(d)))
     return math.exp(log_sum - (n - 1) * math.log(2.0))
 

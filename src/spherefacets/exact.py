@@ -24,10 +24,11 @@ every other one in t.  The peak is located by golden-section search
 before paneling, magnitudes stay in log scale throughout, and counts are
 returned as LogReal.
 
-A shape's full range is integrated once, by its law.  ``TypicalHeightLaw``
-keeps the converged partition of the full range (one segment in t), its
-total gives the full-range count, and every CDF, cap statistic, quantile
-and table query is a slice of it.  Other windows integrate afresh.
+The engine returns one record per window: its segment with the converged
+partition and total.  A shape's full range is integrated once, by its law,
+which keeps that record: its total gives the full-range count, and every
+CDF, cap statistic, quantile and table query is a slice of its partition.
+Other windows integrate afresh.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import quadrature
 from .logreal import LogReal
 from .numerics import ConvergenceError, _log_binomial, _log_cap_constant, _log_half_tail
-from .numerics import _integer, log_c_alpha
+from .numerics import MAX_DIMENSION, _integer, log_c_alpha
 from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
@@ -67,9 +68,6 @@ _SMALL_LOG_GAP = -20.0
 _LN_PI = math.log(math.pi)
 # |cos(gap) - h| allowed a window's edge; from_theta's pi/2 - theta reaches 3 * 2**-53
 _GAP_TOL = 2.0 * math.ulp(1.0)
-# the largest dimension: up to it d * d - 2 * d, the exponent of sin u in
-# E, converts to a finite float (it stops at about 1.34e154)
-MAX_DIMENSION = 10**154
 
 
 @dataclass(frozen=True)
@@ -246,13 +244,14 @@ class _GapIntegrand:
 
 @dataclass(frozen=True)
 class _Segment:
-    """A log-integrand on [lo, hi] with its peak already located.
+    """One window's integral: a log-integrand on [lo, hi], its located
+    peak, the converged partition and ln of its total.
 
     The variable is the gap u for a narrow window, else t = ln(u).  A
-    segment with a peak of -inf gets no panels: E is -inf exactly on an
-    upper stretch of gaps, because ln n + ln(-ln G) grows with the gap,
-    and ``golden_max`` searches below that stretch when f_log(lo) is
-    finite, so such a segment has no mass in float.
+    segment with a peak of -inf gets no partition and a total of -inf: E
+    is -inf exactly on an upper stretch of gaps, because ln n + ln(-ln G)
+    grows with the gap, and ``golden_max`` searches below that stretch
+    when f_log(lo) is finite, so such a segment has no mass in float.
     """
 
     f_log: Callable[[float], float]
@@ -260,33 +259,8 @@ class _Segment:
     hi: float
     mode: float
     peak: float
-
-
-def _located_segment(f_u: _GapIntegrand, window: HeightInterval) -> _Segment:
-    """A nonempty window's gaps [u_lo, u_hi] as one located segment.
-
-    A window with u_hi <= 2 u_lo is integrated linearly in the gap, so its
-    edges stay exact however narrow it is.  Any other window is integrated
-    in t = ln(gap), where it is at least ln 2 wide, far above float
-    resolution of t.  With u_lo = 0 the lower limit is cut where the
-    integrand has fallen 750 log-units below its peak; the truncated mass
-    is a factor exp(-750) of the total, far below any quadrature tolerance.
-    """
-    u_lo, u_hi = window.gap2, window.gap1
-    if 0.0 < u_lo and u_hi <= 2.0 * u_lo:
-        mode, peak = golden_max(f_u, u_lo, u_hi, xtol=max((u_hi - u_lo) * 1e-12, 1e-300))
-        return _Segment(f_u, u_lo, u_hi, mode, peak)
-    f_t = lambda t: f_u.at_log_gap(t) + t
-    t_hi = math.log(u_hi)
-    t_lo = math.log(u_lo) if u_lo > 0.0 else min(f_u.t_floor, t_hi - 1.0)
-    mode, peak = golden_max(f_t, t_lo, t_hi, xtol=1e-10)
-    if u_lo == 0.0 and peak != _NEG_INF:
-        floor, t_lo, step = t_lo, mode - 1.0, 1.0
-        while t_lo > floor and f_t(t_lo) > peak - 750.0:
-            step *= 2.0
-            t_lo = mode - step
-        t_lo = max(t_lo, floor)
-    return _Segment(f_t, t_lo, t_hi, mode, peak)
+    partition: np.ndarray | None
+    ln_total: float
 
 
 def _integral_name(params: PolytopeParams, window: HeightInterval) -> str:
@@ -297,21 +271,41 @@ def _integral_name(params: PolytopeParams, window: HeightInterval) -> str:
     return f"height integral at {size}, d = {params.d} over the gaps [{u_lo!r}, {u_hi!r}]"
 
 
-def _integrated_segment(f_u: _GapIntegrand, window: HeightInterval) -> tuple:
-    """(ln of the integral, segment, converged partition) over the window
-    as ``_located_segment``; the engine of every count and of a law's
-    partition.  A segment of zero mass gets no partition.  A continued
-    fraction lost on the way is raised again naming the integral.
+def _integrated_segment(f_u: _GapIntegrand, window: HeightInterval) -> _Segment:
+    """A nonempty window's gaps [u_lo, u_hi] integrated as one segment: the
+    engine of every count and of a law.
+
+    A window with u_hi <= 2 u_lo is integrated linearly in the gap, so its
+    edges stay exact however narrow it is.  Any other window is integrated
+    in t = ln(gap), where it is at least ln 2 wide, far above float
+    resolution of t.  With u_lo = 0 the lower limit is cut where the
+    integrand has fallen 750 log-units below its peak; the truncated mass
+    is a factor exp(-750) of the total, far below any quadrature tolerance.
+    A continued fraction lost on the way is raised again naming the integral.
     """
     name = _integral_name(f_u.params, window)
+    u_lo, u_hi = window.gap2, window.gap1
     try:
-        seg = _located_segment(f_u, window)
-        if seg.peak == _NEG_INF:
-            return _NEG_INF, seg, None
-        part = quadrature._partition(seg.f_log, geometric_ladder(seg.lo, seg.hi, seg.mode), name)
+        if 0.0 < u_lo and u_hi <= 2.0 * u_lo:
+            f_log, lo, hi = f_u, u_lo, u_hi
+            mode, peak = golden_max(f_log, lo, hi, xtol=max((hi - lo) * 1e-12, 1e-300))
+        else:
+            f_log = lambda t: f_u.at_log_gap(t) + t
+            hi = math.log(u_hi)
+            lo = math.log(u_lo) if u_lo > 0.0 else min(f_u.t_floor, hi - 1.0)
+            mode, peak = golden_max(f_log, lo, hi, xtol=1e-10)
+            if u_lo == 0.0 and peak != _NEG_INF:
+                floor, lo, step = lo, mode - 1.0, 1.0
+                while lo > floor and f_log(lo) > peak - 750.0:
+                    step *= 2.0
+                    lo = mode - step
+                lo = max(lo, floor)
+        if peak == _NEG_INF:
+            return _Segment(f_log, lo, hi, mode, peak, None, _NEG_INF)
+        part = quadrature._partition(f_log, geometric_ladder(lo, hi, mode), name)
     except ConvergenceError as err:
         raise ConvergenceError(f"{name}: {err}") from err
-    return quadrature._ln_total(part), seg, part
+    return _Segment(f_log, lo, hi, mode, peak, part, quadrature._ln_total(part))
 
 
 def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE) -> LogReal:
@@ -327,8 +321,7 @@ def height_integral(params: PolytopeParams, window: HeightInterval = FULL_RANGE)
     """
     if window.is_empty():
         return LogReal.zero()
-    total_ln, _, _ = _integrated_segment(_GapIntegrand(params), window)
-    return LogReal.from_log(total_ln)
+    return LogReal.from_log(_integrated_segment(_GapIntegrand(params), window).ln_total)
 
 
 def log_binomial(params: PolytopeParams) -> float:
@@ -361,18 +354,16 @@ def expected_facets(params: PolytopeParams, window: HeightInterval = FULL_RANGE)
     """
     if window == FULL_RANGE:
         return TypicalHeightLaw(params).facets
-    integral = height_integral(params, window)
-    if integral.is_zero():
-        return LogReal.zero()
-    return LogReal.from_log(_log_count_factor(params) + integral.ln())
+    ln_j = height_integral(params, window).log_abs  # -inf, a zero count, stays -inf
+    return LogReal.from_log(_log_count_factor(params) + ln_j)
 
 
 @dataclass
 class TypicalHeightLaw:
     """Height distribution of the typical facet: CDF(h) = J[-1, h] / J[-1, 1].
 
-    A law is one partition, built with it: the converged panels of the
-    full range, one segment in t = ln(gap).  Its total J gives the
+    A law is one integrated segment, built with it: the full range in
+    t = ln(gap), its converged panels and their total J, which gives the
     full-range count ``facets`` = binom(n, d) * 2 * c_out * J.  Every
     polytope has at least d + 1 facets, so a ln F below ln(d + 1) (less a
     relative slack of 1e-6 in F) raises QuadratureError, naming ln n, d
@@ -390,7 +381,8 @@ class TypicalHeightLaw:
     facets: LogReal = field(init=False)
 
     def __post_init__(self):
-        total_ln, *partition = _integrated_segment(_GapIntegrand(self.params), FULL_RANGE)
+        seg = self._segment = _integrated_segment(_GapIntegrand(self.params), FULL_RANGE)
+        total_ln = seg.ln_total
         d, ln_f = self.params.d, _log_count_factor(self.params) + total_ln
         if not ln_f >= math.log(d + 1) + math.log1p(-1e-6):
             got = "came back zero" if total_ln == _NEG_INF else f"gives ln F = {ln_f!r}"
@@ -404,12 +396,10 @@ class TypicalHeightLaw:
             raise ValueError(f"normalizer ln J = {given.log_abs!r} is not the {name}, "
                              f"ln J = {total_ln!r}, within {quadrature.REL_TOL}")
         self.normalizer = LogReal.from_log(total_ln)
-        # (segment, converged partition) of the full range of gaps
-        self._partition = tuple(partition)
 
     @classmethod
     def for_params(cls, params: PolytopeParams) -> "TypicalHeightLaw":
-        """The law of ``params``, normalized by its own partition's total."""
+        """The law of ``params``, normalized by its own segment's total."""
         return cls(params)
 
     def _mass_of_gaps(self, t_lo: float, t_hi: float) -> float:
@@ -425,16 +415,16 @@ class TypicalHeightLaw:
         """
         if t_lo == _NEG_INF and t_hi >= _LN_PI:
             return 1.0
-        seg, part = self._partition
+        seg = self._segment
         lo, hi = max(t_lo, seg.lo), min(t_hi, seg.hi)
         if not lo < hi:
             return 0.0
-        ln_j = self.normalizer.ln()
+        ln_j = seg.ln_total
         peak = seg.peak if lo <= seg.mode <= hi else max(seg.f_log(lo), seg.f_log(hi))
         if peak + math.log(hi - lo) < ln_j + math.log(quadrature.REL_TOL) - 40.0:
             return 0.0
         name = f"{_integral_name(self.params, FULL_RANGE)} sliced to ln u in [{lo!r}, {hi!r}]"
-        window = quadrature._sliced(seg.f_log, part, lo, hi, name)
+        window = quadrature._sliced(seg.f_log, seg.partition, lo, hi, name)
         return min(math.exp(quadrature._ln_total(window) - ln_j), 1.0)
 
 
@@ -458,11 +448,10 @@ def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    seg, _ = law._partition
-    ln_j = law.normalizer.ln()
+    seg = law._segment
     t = newton_bracketed(
         lambda t: law._mass_of_gaps(t, _LN_PI) - p,
-        lambda t: -math.exp(seg.f_log(t) - ln_j),
+        lambda t: -math.exp(seg.f_log(t) - seg.ln_total),
         seg.lo,
         seg.hi,
         x0=seg.mode,
@@ -505,11 +494,10 @@ def cdf_table(law: TypicalHeightLaw, num: int = 2001) -> tuple:
     theta = pi/2 and h = 1, but their CDF values stay right.
     """
     num = _integer("num", num, 1)
-    # the law's partition is the full range as one segment in t = ln(gap)
-    seg, part = law._partition
+    seg = law._segment  # the full range in t = ln(gap)
     # rows run from the largest gap down: a massless row at pi, one at the
     # lower end of each cell, and one closing the table at theta = pi/2
-    ends, cells = quadrature._mass_cells(seg.f_log, part, num)
+    ends, cells = quadrature._mass_cells(seg.f_log, seg.partition, num)
     prefix = np.logaddexp.accumulate([_NEG_INF, *cells, _NEG_INF])
     # there are more than num rows: keep num of them, counted from the last
     keep = np.linspace(len(ends), 0, num).astype(int)[::-1]

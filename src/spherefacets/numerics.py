@@ -58,6 +58,11 @@ class ConvergenceError(ArithmeticError):
     """An iterative scheme hit its step cap before reaching its tolerance."""
 
 
+# the largest dimension: up to it d * d - 2 * d, the exponent of sin u in
+# the height integrand, converts to a finite float (it stops at about 1.34e154)
+MAX_DIMENSION = 10**154
+
+
 def _integer(name: str, value, low: int, high: float = math.inf) -> int:
     """An integer input (dimension, count, seed, size) as an int in [low, high], taken
     by ``operator.index``: numpy integers pass and a bool is 0 or 1, while a float,
@@ -67,7 +72,7 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
     except TypeError:
         i = None
     if i is None or not low <= i <= high:
-        top = high if high < 2**53 else f"{high:.0e}"  # 10**154 as 1e+154
+        top = high if high < 2**53 else repr(float(high))  # 10**154 as 1e+154
         raise ValueError(f"{name} must be an integer in [{low}, {top}], got {name}={value}")
     return int(i)
 
@@ -298,9 +303,9 @@ def log_inner_cdf(h: float, d: int) -> float:
 
     G(h) is the normalized integral of (1 - s**2)**((d-3)/2) from -1 to h,
     i.e. the regularized incomplete beta at x = (1+h)/2 with both
-    parameters (d-1)/2.  d is an integer >= 2.
+    parameters (d-1)/2.  d is an integer in [2, ``MAX_DIMENSION``].
     """
-    d = _integer("d", d, 2)
+    d = _integer("d", d, 2, MAX_DIMENSION)
     if not -1.0 <= h <= 1.0:
         raise ValueError(f"height must lie in [-1, 1], got {h}")
     return _log_sym_beta_cdf(h, 0.5 * (d - 1))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -254,6 +255,9 @@ class TestConstants:
             with pytest.raises(ValueError, match=re.escape(f"got d={d}")):
                 facets_per_vertex_limit(d)
 
+    def test_constant_at_the_largest_dimension(self):
+        assert math.isfinite(glasauer_schneider_constant(10**154))
+
     def test_limit_takes_numpy_integers_as_ints(self):
         ln_k = facets_per_vertex_limit(np.int64(4)).log_abs
         assert type(ln_k) is float and ln_k == facets_per_vertex_limit(4).log_abs
@@ -282,6 +286,14 @@ class TestConstants:
         assert below[-1] > 0.999
         assert all(b < a for a, b in zip(above, above[1:]))
         assert above[-1] < 1e-3
+
+    def test_wendel_half_at_large_n(self):
+        # the exact value is 1/2; one fsum of the terms holds it to 2e-12 here
+        assert abs(origin_outside_prob(10**5, 5 * 10**4) - 0.5) <= 2e-12
+
+    def test_wendel_at_the_float_range(self):
+        assert origin_outside_prob(2**1023, 3) == 0.0
+        assert origin_outside_prob(2**1023, 2**1023) == 1.0
 
     def test_wendel_log_path_consistent(self):
         # the large-n log-domain branch agrees with exact rational arithmetic
@@ -556,8 +568,13 @@ _N_AT_D = PolytopeParams(2**53 + 2, 2**53)
 # (label, call of the argument, name, range, fraction, integer outside)
 _INTEGER_ARGS = [
     ("facets_per_vertex_limit", facets_per_vertex_limit, "d", "[2, 1e+154]", 2.5, 10**154 + 1),
-    ("glasauer_schneider_constant", glasauer_schneider_constant, "d", "[2, inf]", 2.5, 0),
-    ("wendel n", lambda n: origin_outside_prob(n, 3), "n", "[1, inf]", 4001.5, -1),
+    ("glasauer_schneider_constant", glasauer_schneider_constant, "d", "[2, 1e+154]", 2.5, 0),
+    ("glasauer_schneider_constant beyond float", glasauer_schneider_constant, "d",
+     "[2, 1e+154]", 2.5, 10**400),
+    ("wendel n", lambda n: origin_outside_prob(n, 3), "n", f"[1, {sys.float_info.max!r}]",
+     4001.5, -1),
+    ("wendel n beyond float", lambda n: origin_outside_prob(n, 3), "n",
+     f"[1, {sys.float_info.max!r}]", 4001.5, 2**1024 + 1),
     ("wendel d", lambda d: origin_outside_prob(10, d), "d", "[1, inf]", 2.5, 0),
 ]
 _INTEGER_ROWS = [
@@ -583,8 +600,9 @@ _INTEGER_ROWS = [
     (lambda: typical_height_asymptotic(RegimeSpec(Regime.SUBLINEAR_MID),
                                        PolytopeParams.from_log(10.0, 20)),
      "sublinear regime needs an exact point count"),
-    (lambda: glasauer_schneider_constant(1), "d must be an integer in [2, inf], got d=1"),
-    (lambda: origin_outside_prob(0, 3), "n must be an integer in [1, inf], got n=0"),
+    (lambda: glasauer_schneider_constant(1), "d must be an integer in [2, 1e+154], got d=1"),
+    (lambda: origin_outside_prob(0, 3),
+     f"n must be an integer in [1, {sys.float_info.max!r}], got n=0"),
     (lambda: height_window(PolytopeParams.from_log(745.0, 3)),
      "height window at ln n = 745.0, d = 3: the upper edge's gap, with "
      "ln sin u = -746.203972804326, is 0.0, below float range"),

@@ -725,10 +725,10 @@ class TestLawPartition:
             return evaluate(*args)
 
         def fail(*args):
-            raise AssertionError("a law query located a segment again")
+            raise AssertionError("a law query integrated a segment again")
 
         monkeypatch.setattr(exact._GapIntegrand, "_at", counted)
-        monkeypatch.setattr(exact, "_located_segment", fail)
+        monkeypatch.setattr(exact, "_integrated_segment", fail)
         return law, calls
 
     def test_every_query_reads_the_partition(self, counted_law):
@@ -750,6 +750,22 @@ class TestLawPartition:
         law, calls = counted_law
         typical_height_quantile(law, 0.5)
         assert calls[0] <= 500, calls[0]
+
+    @pytest.mark.parametrize("params", [PolytopeParams(50, 4), PolytopeParams(405, 400),
+                                        PolytopeParams.from_log(2000.0, 50)],
+                             ids=["50-4", "405-400", "ln n 2000-50"])
+    def test_normalizer_is_the_full_range_integral(self, params):
+        law = TypicalHeightLaw(params)
+        assert TypicalHeightLaw.for_params(params) == law
+        assert law.normalizer == height_integral(params)  # bit for bit
+        assert law._segment.ln_total == law.normalizer.ln()
+
+    def test_zero_mass_segment_has_no_partition(self):
+        # at ln n = 800, d = 3, E is -inf on every gap beyond pi/2
+        params = PolytopeParams.from_log(800.0, 3)
+        seg = exact._integrated_segment(exact._GapIntegrand(params), HeightInterval(-1.0, -0.5))
+        assert (seg.peak, seg.partition, seg.ln_total) == (-math.inf, None, -math.inf)
+        assert height_integral(params, HeightInterval(-1.0, -0.5)).is_zero()
 
     def test_law_from_a_normalizer_builds_its_partition(self):
         params = PolytopeParams(50, 4)

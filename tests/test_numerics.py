@@ -281,6 +281,10 @@ class TestInnerCdf:
             ))
             assert log_inner_cdf(-h, d) == pytest.approx(want, rel=1e-11)
 
+    def test_largest_dimension(self):
+        # G(0.3) is 1 in float long before d = 10**154
+        assert log_inner_cdf(0.3, 10**154) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             log_inner_cdf(1.5, 3)
@@ -385,7 +389,8 @@ class TestBoundsSuite:
 # outside its range with one message naming it:
 # (label, call of the argument, name, range, integer outside)
 _INTEGER_ARGS = [
-    ("inner cdf d", lambda d: log_inner_cdf(0.3, d), "d", "[2, inf]", 1),
+    ("inner cdf d", lambda d: log_inner_cdf(0.3, d), "d", "[2, 1e+154]", 1),
+    ("inner cdf d beyond float", lambda d: log_inner_cdf(0.3, d), "d", "[2, 1e+154]", 10**400),
     ("grid num", random_bounds_grid, "num", "[0, inf]", -1),
     ("grid seed", lambda seed: random_bounds_grid(3, seed), "seed", "[0, inf]", -1),
 ]
