@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .exact import HeightInterval, PolytopeParams, _log_gap, log_binomial
 from .logreal import LogReal
-from .numerics import LOG_SQRT_2PI, _log_binomial, _log_cap_constant, _log_gamma_half_ratio
-from .numerics import MAX_DIMENSION, _integer, log_norm_cdf
+from .numerics import MAX_DIMENSION, _integer, _log_binomial, _log_cap_constant
+from .numerics import _log_gamma_half_ratio, _log_mills, _real, log_norm_cdf
 from .solvers import newton_bracketed
 
 __all__ = [
@@ -99,7 +99,7 @@ class GrowthFamily:
     ``n_power`` (n = coef * d^power), ``log_n_power``
     (ln n = coef * d^power), ``log_n_dlogd``
     (ln n = coef * d * ln d), ``d_fixed`` (d = coef, an integer >= 2,
-    n free).
+    n free).  coef is a real, kept as a float; power a finite one.
     """
 
     kind: str
@@ -110,9 +110,11 @@ class GrowthFamily:
         kinds = {"n_minus_d_power", "n_power", "log_n_power", "log_n_dlogd", "d_fixed"}
         if self.kind not in kinds:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        object.__setattr__(self, "coef", _real("coef", self.coef, ends="[]"))
+        object.__setattr__(self, "power", _real("power", self.power))
         if not self.coef > 0:
             raise AmbiguousFamilyError(f"family coefficient must be positive: {self}")
-        if self.kind == "d_fixed" and not (self.coef >= 2 and float(self.coef).is_integer()):
+        if self.kind == "d_fixed" and not (self.coef >= 2 and self.coef.is_integer()):
             raise ValueError(f"a fixed dimension must be an integer >= 2, got d={self.coef}")
 
 
@@ -169,7 +171,7 @@ def parse_family(text: str) -> GrowthFamily:
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """A growth family together with its derived regime tag."""
+    """A growth family together with its derived regime tag and rho, a finite float."""
 
     tag: Regime
     rho: float | None = None
@@ -179,9 +181,9 @@ class RegimeSpec:
         if self.rho is None:
             if self.tag in {Regime.SUBLINEAR_SQRT, Regime.LINEAR, Regime.EXPONENTIAL}:
                 raise ValueError(f"regime {self.tag.value} requires a rho value")
-        elif not math.isfinite(self.rho):
-            raise ValueError(f"rho must be finite, got rho={self.rho}")
-        elif self.tag in {Regime.LINEAR, Regime.EXPONENTIAL} and not self.rho > 0:
+            return
+        object.__setattr__(self, "rho", _real("rho", self.rho))
+        if self.tag in {Regime.LINEAR, Regime.EXPONENTIAL} and not self.rho > 0:
             raise ValueError(f"rho must be positive for {self.tag.value}, got rho={self.rho}")
 
     @classmethod
@@ -235,22 +237,18 @@ def classify(family: GrowthFamily) -> RegimeSpec:
 # ----------------------------------------------------------------------
 
 def height_rate(rho: float, r: float) -> float:
-    """rho * ln Phi(r) - r^2 / 2; concentration rate of the typical height."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and positive, got rho={rho}")
+    """rho * ln Phi(r) - r^2 / 2, rho > 0, r finite: concentration rate of the typical height."""
+    rho, r = _real("rho", rho, 0.0), _real("r", r)
     return rho * log_norm_cdf(r) - 0.5 * r * r
 
 
-def _log_mills(r: float) -> float:
-    """ln(phi(r) / Phi(r)), with ln phi written out so it never underflows."""
-    return -0.5 * r * r - LOG_SQRT_2PI - log_norm_cdf(r)
-
-
 def height_rate_prime(rho: float, r: float) -> float:
+    rho, r = _real("rho", rho, 0.0), _real("r", r)
     return rho * math.exp(_log_mills(r)) - r
 
 
 def height_rate_second(rho: float, r: float) -> float:
+    rho, r = _real("rho", rho, 0.0), _real("r", r)
     ratio = math.exp(_log_mills(r))
     return -rho * ratio * (r + ratio) - 1.0
 
@@ -277,9 +275,7 @@ def rate_argmax(rho: float) -> float:
     Newton in x finds r to relative precision for every finite normal
     float rho > 0.
     """
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and positive, got rho={rho}")
-    ln_rho = math.log(rho)
+    ln_rho = math.log(_real("rho", rho, 0.0))
 
     def residual(x):
         r = math.exp(x)
@@ -373,14 +369,13 @@ def height_window(params: PolytopeParams, r1: float = 10.0, r2: float = 0.1) -> 
         h2 = sqrt(1 - (r2 d / n)^(2(d+1)/(d-1)^2))
 
     Each edge carries its gap u = arccos(h) from ln sin u = ln(1 - h^2)/2,
-    exact where h rounds to 1.  r1 must be large enough and r2 small
+    exact where h rounds to 1.  r1 > 0 must be large enough and r2 > 0 small
     enough; the defaults are heuristic.  Raises when a radicand is
     nonpositive (n/d too small for the window to exist), when the
     endpoints cross (r1/r2 misuse), or when the upper gap is below float
     range (``sys.float_info.min``; at d = 3 from ln n = 708 on).
     """
-    if not (r1 > 0 and r2 > 0):
-        raise ValueError(f"r1 and r2 must be positive, got r1={r1}, r2={r2}")
+    r1, r2 = _real("r1", r1, 0.0), _real("r2", r2, 0.0)
     d, ln_n = params.d, params.ln_n
     log_ratio = ln_n - math.log(d)
     if log_ratio <= 0:

@@ -12,7 +12,7 @@ handler returns only its own fields and table; ``main`` puts the header
 at its one fixed accuracy (relative target 1e-9), which ``exact``
 reports as ``rel_tol``; no command takes a tolerance.
 
-Each numeric flag declares its domain as its argparse ``type``:
+Each numeric flag's argparse ``type`` applies the library's integer or real rule:
 
 - ``--n``, ``--n-start``, ``--n-stop``: integers >= 3; ``--d`` in
   [2, 10**154], where d * d - 2 * d is still a float;
@@ -20,7 +20,7 @@ Each numeric flag declares its domain as its argparse ``type``:
 - ``mc``/``compare --replicates`` in [1, 1000000], ``verify --points``
   in [1, 200000] and ``exact --cdf-points`` in [0, 20000], caps at which
   a command still ends within seconds;
-- ``--r1``, ``--r2``: finite and > 0; ``--rho``: finite and >= 0;
+- ``--r1``, ``--r2``: in (0, inf); ``--rho``: in [0, inf);
   ``--h1``, ``--h2``: in [-1, 1];
 - ``--ln-n`` is any float: its validity depends on ``--d`` and is the
   library's to judge.
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 
 from . import asymptotics as asym
-from . import exact, montecarlo, quadrature
+from . import exact, montecarlo, numerics, quadrature
 from .numerics import check_bounds_suite, random_bounds_grid
 
 SCHEMA_VERSION = 1
@@ -301,49 +302,32 @@ class UsageError(Exception):
     """A usage error only a handler can see (it spans two flags); exit 2."""
 
 
-def _integer(lo: int, hi: int | None = None):
-    """argparse type: an integer in [lo, hi], unbounded above when hi is None."""
-    domain = f">= {lo}" if hi is None else f"in [{lo}, {hi if hi < 10**9 else f'{hi:.0e}'}]"
-
-    def parse(text: str) -> int:
+def _checked(parse, rule, name: str, *domain):
+    """argparse type: the text as ``parse`` reads it (the text itself where it
+    cannot), checked by ``rule(name, value, *domain)``; its ValueError is a usage
+    error (exit 2)."""
+    def check(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            value = None
-        if value is None or value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(f"must be an integer {domain}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _finite(lo: float, hi: float = math.inf, *, above: bool = False):
-    """argparse type: a finite float in [lo, hi], or in (lo, hi] when ``above``."""
-    if hi < math.inf:
-        domain = f"in [{lo:g}, {hi:g}]"
-    else:
-        domain = f"{'>' if above else '>='} {lo:g}"
-
-    def parse(text: str) -> float:
+            value = text  # the rule refuses it, naming it
         try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        low_ok = value > lo if above else value >= lo
-        if not (math.isfinite(value) and low_ok and value <= hi):
-            raise argparse.ArgumentTypeError(f"must be a finite number {domain}, got {text!r}")
-        return value
+            return rule(name, value, *domain)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
-    return parse
+    return check
 
 
-_HEIGHT = _finite(-1.0, 1.0)
-_DIMENSION = _integer(2, exact.MAX_DIMENSION)
+_integer = functools.partial(_checked, int, numerics._integer)  # (name, low, high=inf)
+_finite = functools.partial(_checked, float, numerics._real)  # (name, low, high=inf, ends="()")
+_HEIGHT = _finite("h", -1.0, 1.0, "[]")
+_DIMENSION = _integer("d", 2, exact.MAX_DIMENSION)
 
 
 def _add_common(p):
     size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--n", type=_integer(3), default=None, help="point count")
+    size.add_argument("--n", type=_integer("n", 3), default=None, help="point count")
     size.add_argument("--ln-n", type=float, default=None, dest="ln_n",
                       help="natural log of the point count (for n beyond float range)")
     p.add_argument("--d", type=_DIMENSION, required=True, help="ambient dimension")
@@ -353,12 +337,12 @@ def _add_regime(p, family_help=None):
     regime = p.add_mutually_exclusive_group()
     regime.add_argument("--family", default=None, help=family_help)
     regime.add_argument("--regime", default=None, choices=[r.value for r in asym.Regime])
-    p.add_argument("--rho", type=_finite(0.0), default=None)
+    p.add_argument("--rho", type=_finite("rho", 0.0, math.inf, "[)"), default=None)
 
 
 def _add_census(p):
-    p.add_argument("--replicates", type=_integer(1, 1_000_000), default=1000)
-    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--replicates", type=_integer("replicates", 1, 1_000_000), default=1000)
+    p.add_argument("--seed", type=_integer("seed", 0), default=0)
 
 
 def _add_output(p):
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--h1", type=_HEIGHT, default=-1.0)
     p.add_argument("--h2", type=_HEIGHT, default=1.0)
-    p.add_argument("--cdf-points", type=_integer(0, 20_000), default=0,
+    p.add_argument("--cdf-points", type=_integer("cdf_points", 0, 20_000), default=0,
                    help="emit the N rows of the typical-height CDF table cdf_table(law, N), "
                         "from h = -1 to h = 1 (N = 1: the h = 1 row only)")
     _add_output(p)
@@ -385,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asym", help="regime asymptotics (regime must be supplied)")
     _add_common(p)
     _add_regime(p, "growth family, e.g. 'n-d=0.5*d', 'ln(n)=2*d', 'd=3'")
-    p.add_argument("--r1", type=_finite(0.0, above=True), default=10.0)
-    p.add_argument("--r2", type=_finite(0.0, above=True), default=0.1)
+    p.add_argument("--r1", type=_finite("r1", 0.0), default=10.0)
+    p.add_argument("--r2", type=_finite("r2", 0.0), default=0.1)
     _add_output(p)
 
     p = sub.add_parser("mc", help="Monte Carlo facet census")
@@ -404,17 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep n at fixed d, emit a table")
     p.add_argument("--d", type=_DIMENSION, required=True)
-    p.add_argument("--n-start", type=_integer(3), required=True, dest="n_start")
-    p.add_argument("--n-stop", type=_integer(3), required=True, dest="n_stop")
-    p.add_argument("--n-step", type=_integer(1), default=1, dest="n_step")
+    p.add_argument("--n-start", type=_integer("n_start", 3), required=True, dest="n_start")
+    p.add_argument("--n-stop", type=_integer("n_stop", 3), required=True, dest="n_stop")
+    p.add_argument("--n-step", type=_integer("n_step", 1), default=1, dest="n_step")
     p.add_argument("--h1", type=_HEIGHT, default=-1.0)
     p.add_argument("--h2", type=_HEIGHT, default=1.0)
     _add_regime(p)
     _add_output(p)
 
     p = sub.add_parser("verify", help="run the inequality and oracle suites")
-    p.add_argument("--points", type=_integer(1, 200_000), default=2000)
-    p.add_argument("--seed", type=_integer(0), default=0)
+    p.add_argument("--points", type=_integer("points", 1, 200_000), default=2000)
+    p.add_argument("--seed", type=_integer("seed", 0), default=0)
     _add_output(p)
 
     return parser

@@ -34,6 +34,7 @@ Other windows integrate afresh.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
@@ -42,7 +43,7 @@ import numpy as np
 from . import quadrature
 from .logreal import LogReal
 from .numerics import ConvergenceError, _log_binomial, _log_cap_constant, _log_half_tail
-from .numerics import MAX_DIMENSION, _integer, log_c_alpha
+from .numerics import MAX_DIMENSION, _integer, _real, log_c_alpha
 from .quadrature import QuadratureError, geometric_ladder
 from .solvers import golden_max, newton_bracketed
 
@@ -74,9 +75,9 @@ _GAP_TOL = 2.0 * math.ulp(1.0)
 class PolytopeParams:
     """Point count and ambient dimension, n > d >= 2, d <= ``MAX_DIMENSION``.
 
-    d is an integer by ``operator.index`` (numpy's too, else ValueError), kept as an int.
-    ``n`` may be omitted in favor of ``ln_n`` for counts beyond float
-    range (needed once n grows like exp(rho * d)).
+    d is an integer by ``operator.index`` (numpy's too, else ValueError), kept as an int,
+    n and ln_n finite reals, kept as floats.  ``n`` may be omitted in favor of
+    ``ln_n`` for counts beyond float range (needed once n grows like exp(rho * d)).
     """
 
     n: float | None
@@ -86,15 +87,10 @@ class PolytopeParams:
     def __post_init__(self):
         object.__setattr__(self, "d", _integer("d", self.d, 2, MAX_DIMENSION))
         if self.n is not None:
-            try:
-                n = float(self.n)
-            except OverflowError:
-                raise ValueError(
-                    "n is too large for a float; give ln_n instead, "
-                    "PolytopeParams.from_log(math.log(n), d)"
-                ) from None
-            if not math.isfinite(n):
-                raise ValueError(f"n must be finite, got n={self.n}")
+            if isinstance(self.n, int) and self.n > sys.float_info.max:
+                raise ValueError("n is too large for a float; give ln_n instead, "
+                                 "PolytopeParams.from_log(math.log(n), d)")
+            n = _real("n", self.n)
             if not (n > self.d and n == math.floor(n)):
                 raise ValueError(f"need integer n > d, got n={self.n}, d={self.d}")
             object.__setattr__(self, "n", n)
@@ -102,8 +98,7 @@ class PolytopeParams:
         else:
             if self.ln_n is None:
                 raise ValueError(f"provide either n or ln_n, got n=None, ln_n=None, d={self.d}")
-            if not math.isfinite(self.ln_n):
-                raise ValueError(f"ln_n must be finite, got ln_n={self.ln_n}")
+            object.__setattr__(self, "ln_n", _real("ln_n", self.ln_n))
             # n - d, as log_n_minus_d derives it, is 1 or more within n ulp(ln n)
             slack = math.exp(min(self.ln_n, 709.0)) * math.ulp(self.ln_n)
             if not (self.ln_n > math.log(self.d) and self.d * math.exp(-self.ln_n) < 1.0
@@ -143,9 +138,9 @@ class HeightInterval:
     """A height window [h1, h2] inside [-1, 1], with its upper gaps.
 
     Each edge is stored as its height and its gap u = arccos(h) to h = 1,
-    the engine's coordinate.  Gaps are taken as acos(h), exact near h = 1,
-    unless given: the angles theta1, theta2 = arcsin(h) are accepted but
-    not stored, and stand for the gaps pi/2 - theta.  A given gap or angle
+    the engine's coordinate, both floats.  Gaps are taken as acos(h), exact
+    near h = 1, unless given: the angles theta1, theta2 = arcsin(h) are
+    accepted but not stored, and stand for the gaps pi/2 - theta.  A gap
     off its height by more than ``_GAP_TOL`` in cos u raises ValueError.
     Windows hugging h = 1 can be built from the gap directly (``upper_tail``,
     ``asymptotics.height_window``), beyond what the height can represent.
@@ -159,13 +154,16 @@ class HeightInterval:
     gap2: float = None  # type: ignore[assignment]  # arccos(h2)
 
     def __post_init__(self, theta1, theta2):
-        if not (-1.0 <= self.h1 <= self.h2 <= 1.0):
+        for end, theta in ((1, theta1), (2, theta2)):
+            h = _real(f"h{end}", getattr(self, f"h{end}"), -1.0, 1.0, "[]")
+            gap = getattr(self, f"gap{end}")
+            if gap is None:
+                gap = math.acos(h) if theta is None else HALF_PI - _angle(f"theta{end}", theta)
+            object.__setattr__(self, f"h{end}", h)
+            object.__setattr__(self, f"gap{end}", _real(f"gap{end}", gap, 0.0, math.pi, "[]"))
+        if not self.h1 <= self.h2:
             raise ValueError(f"need -1 <= h1 <= h2 <= 1, got [{self.h1}, {self.h2}]")
-        for name, h, theta in (("gap1", self.h1, theta1), ("gap2", self.h2, theta2)):
-            if getattr(self, name) is None:
-                gap = math.acos(h) if theta is None else HALF_PI - theta
-                object.__setattr__(self, name, gap)
-        if not 0.0 <= self.gap2 <= self.gap1 <= math.pi:
+        if not self.gap2 <= self.gap1:
             raise ValueError(f"gaps gap1={self.gap1!r}, gap2={self.gap2!r} are not in window order")
         for h, gap in ((self.h1, self.gap1), (self.h2, self.gap2)):
             if not abs(math.cos(gap) - h) <= _GAP_TOL:
@@ -173,19 +171,24 @@ class HeightInterval:
 
     @classmethod
     def from_theta(cls, theta1: float, theta2: float) -> "HeightInterval":
-        if not -HALF_PI <= theta1 <= theta2 <= HALF_PI:
+        theta1, theta2 = _angle("theta1", theta1), _angle("theta2", theta2)
+        if not theta1 <= theta2:
             raise ValueError("need -pi/2 <= theta1 <= theta2 <= pi/2")
-        return cls(math.sin(theta1), math.sin(theta2), theta1, theta2)
+        return cls(math.sin(theta1), math.sin(theta2), gap1=HALF_PI - theta1, gap2=HALF_PI - theta2)
 
     @classmethod
     def upper_tail(cls, gap: float) -> "HeightInterval":
-        """The window [sin(pi/2 - gap), 1], with the gap carried exactly."""
-        if not 0.0 <= gap <= math.pi:
-            raise ValueError(f"gap must lie in [0, pi], got {gap}")
+        """The window [sin(pi/2 - gap), 1], with the gap in [0, pi] carried exactly."""
+        gap = _real("gap", gap, 0.0, math.pi, "[]")
         return cls(math.cos(gap), 1.0, gap1=gap, gap2=0.0)
 
     def is_empty(self) -> bool:
         return self.gap1 == self.gap2
+
+
+def _angle(name: str, theta) -> float:
+    """An angle theta = arcsin(h) in [-pi/2, pi/2], as a float."""
+    return _real(name, theta, -HALF_PI, HALF_PI, "[]")
 
 
 FULL_RANGE = HeightInterval(-1.0, 1.0)  # the gaps pi and 0, exactly
@@ -429,10 +432,8 @@ class TypicalHeightLaw:
 
 
 def typical_height_cdf(law: TypicalHeightLaw, h: float) -> float:
-    """P(typical height <= h)."""
-    if not -1.0 <= h <= 1.0:
-        raise ValueError(f"height must lie in [-1, 1], got {h}")
-    gap = HeightInterval(-1.0, h).gap2
+    """P(typical height <= h), h in [-1, 1]."""
+    gap = math.acos(_real("h", h, -1.0, 1.0, "[]"))
     return law._mass_of_gaps(math.log(gap) if gap > 0.0 else _NEG_INF, _LN_PI)
 
 
@@ -444,10 +445,9 @@ def typical_height_quantile(law: TypicalHeightLaw, p: float) -> float:
     -exp(E_t(t)) / J as the derivative of the CDF in t and the partition's
     mode as the start; each step's CDF is a slice of the partition.  The
     tolerance 1e-10/pi in t keeps the gap, and so the height cos(gap),
-    within 1e-10.
+    within 1e-10.  p is in (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
+    p = _real("p", p, 0.0, 1.0)
     seg = law._segment
     t = newton_bracketed(
         lambda t: law._mass_of_gaps(t, _LN_PI) - p,
@@ -469,10 +469,8 @@ def gamma_statistic_cdf(law: TypicalHeightLaw, y: float) -> float:
     P(H >= h(y)) with h(y) the height solving Y = y; the mass at
     negative heights, ``typical_height_cdf(law, 0.0)``, is not folded in.
     """
-    if not y > 0:
-        raise ValueError(f"statistic value must be positive, got {y}")
     d = law.params.d
-    ln_t = math.log(y) + _log_cap_constant(d) - law.params.ln_n
+    ln_t = math.log(_real("y", y, 0.0, math.inf, "(]")) + _log_cap_constant(d) - law.params.ln_n
     # 1 - h^2 = t^(2/(d-1)), so ln sin u = ln t / (d - 1); a cap beyond a
     # hemisphere (t >= 1) takes every H >= 0, the gap pi/2
     return law._mass_of_gaps(_NEG_INF, _log_gap(min(ln_t, 0.0) / (d - 1)))

@@ -25,6 +25,7 @@ comparison between the rescaled symmetric-beta CDF and the normal CDF.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -77,15 +78,28 @@ def _integer(name: str, value, low: int, high: float = math.inf) -> int:
     return int(i)
 
 
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
+          ends: str = "()") -> float:
+    """A real input as a float between low and high, each end open or closed as ``ends``
+    reads ("()", "[]", "(]", "[)"): numpy reals pass, a bool is 0 or 1 and an int beyond
+    float range is an infinity; NaN, a non-real or a value outside raises ValueError."""
+    try:
+        x = float(value) if type(value) is float or isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not (low < x < high or x == low and ends[0] == "[" or x == high and ends[1] == "]"):
+        interval = f"{ends[0]}{float(low)!r}, {float(high)!r}{ends[1]}"
+        raise ValueError(f"{name} must be a real number in {interval}, got {name}={value}")
+    return x
+
+
 # ----------------------------------------------------------------------
 # normal distribution
 # ----------------------------------------------------------------------
 
 def norm_cdf(h: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    if math.isnan(h):
-        raise ValueError("norm_cdf requires a finite argument")
-    return 0.5 * math.erfc(-h * _INV_SQRT2)
+    """Standard normal CDF via the complementary error function, h in [-inf, inf]."""
+    return 0.5 * math.erfc(-_real("h", h, ends="[]") * _INV_SQRT2)
 
 
 def log_norm_cdf(h: float) -> float:
@@ -95,21 +109,27 @@ def log_norm_cdf(h: float) -> float:
     its digits where Phi rounds to 1.  On the left, erfc carries the value
     down to h ~ -37 where its linear result underflows; below that the
     classical tail expansion phi(h)/|h| * (1 - 1/h^2 + 3/h^4 - ...) takes
-    over.
+    over.  h is in [-inf, inf].
     """
-    if math.isnan(h):
-        raise ValueError(f"log_norm_cdf requires a finite argument, got h={h}")
+    h = _real("h", h, ends="[]")
     if h > 0.0:
         return math.log1p(-0.5 * math.erfc(h * _INV_SQRT2))
     if h > -36.0:
         return math.log(0.5 * math.erfc(-h * _INV_SQRT2))
+    return -0.5 * h * h - LOG_SQRT_2PI - _log_mills(h)
+
+
+def _log_mills(h: float) -> float:
+    """ln(phi(h) / Phi(h)), with ln phi written out so it never underflows, and from
+    h = -36 down ln(-h) - log1p(series) of the tail expansion, where h^2/2 would cancel."""
+    if h > -36.0:
+        return -0.5 * h * h - LOG_SQRT_2PI - log_norm_cdf(h)
     inv_h2 = 1.0 / (h * h)
-    term = -inv_h2
-    series = term
+    term = series = -inv_h2
     for k in range(2, 9):
         term *= -(2 * k - 1) * inv_h2
         series += term
-    return -0.5 * h * h - LOG_SQRT_2PI - math.log(-h) + math.log1p(series)
+    return math.log(-h) - math.log1p(series)
 
 
 # ----------------------------------------------------------------------
@@ -243,20 +263,20 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Stays accurate when I_x underflows linearly (arbitrarily far into the
     lower tail), and past the central switch point, where it works from
-    the complementary tail.
+    the complementary tail; x in [0, 1] and a, b in (0, inf), as given, name a failure.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    x, a, b = _real("x", x, 0.0, 1.0, "[]"), _real("a", a, 0.0), _real("b", b, 0.0)
     if x == 0.0:
         return _NEG_INF
     if x == 1.0:
         return 0.0
     if x == 0.5 and a == b:
         return math.log(0.5)
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return _log_inc_beta(a, b, math.log(x), math.log1p(-x), log_beta)
+    try:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return _log_inc_beta(a, b, math.log(x), math.log1p(-x), log_beta)
+    except (ConvergenceError, OverflowError) as err:
+        raise type(err)(f"ln I_x(a, b) at x={x!r}, a={a!r}, b={b!r}: {err}") from err
 
 
 # ----------------------------------------------------------------------
@@ -264,10 +284,8 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> float:
 # ----------------------------------------------------------------------
 
 def log_c_alpha(alpha: float) -> float:
-    """ln of the constant normalizing (1 - t**2)**alpha on [-1, 1]."""
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    return _log_gamma_half_ratio(alpha + 1.0) - _LOG_SQRT_PI
+    """ln of the constant normalizing (1 - t**2)**alpha on [-1, 1], alpha in (-1, inf)."""
+    return _log_gamma_half_ratio(_real("alpha", alpha, -1.0) + 1.0) - _LOG_SQRT_PI
 
 
 def _log_cap_constant(d: int) -> float:
@@ -280,21 +298,26 @@ def gauss_beta_norm(alpha: float) -> float:
     """Normalizer of the sqrt(alpha)-rescaled symmetric beta density.
 
     Tends to 1 as alpha grows; the rescaled density then converges to the
-    standard normal density.
+    standard normal density.  alpha is in (0, inf).
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _real("alpha", alpha, 0.0)
     return math.exp(_log_gamma_half_ratio(0.5 * alpha + 1.0) - 0.5 * math.log(0.5 * alpha))
 
 
-def _log_sym_beta_cdf(h: float, a: float) -> float:
-    """ln I_x(a, a) at x = (1 + h)/2: the beta(a, a) CDF on [-1, 1] at h."""
+def _log_sym_beta_cdf(h: float, a: float, name: str) -> float:
+    """ln I_x(a, a) at x = (1 + h)/2: the beta(a, a) CDF on [-1, 1] at h, -ln 2 at
+    h = 0 for every a; a lost continued fraction is raised again under ``name``."""
     c = abs(h)
     if c == 1.0:
         return 0.0 if h > 0.0 else _NEG_INF
+    if c == 0.0:
+        return -_LN2
     # ln s from 1 - c and 1 + c, both exact where c is near 1
     log_s = 0.5 * (math.log1p(-c) + math.log1p(c))
-    log_tail = _log_half_tail(a, log_s, math.log(c) if c else _NEG_INF)
+    try:
+        log_tail = _log_half_tail(a, log_s, math.log(c))
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{name}: {err}") from err
     return log_tail if h < 0.0 else math.log1p(-math.exp(log_tail))
 
 
@@ -303,12 +326,10 @@ def log_inner_cdf(h: float, d: int) -> float:
 
     G(h) is the normalized integral of (1 - s**2)**((d-3)/2) from -1 to h,
     i.e. the regularized incomplete beta at x = (1+h)/2 with both
-    parameters (d-1)/2.  d is an integer in [2, ``MAX_DIMENSION``].
+    parameters (d-1)/2.  h is in [-1, 1] and d an integer in [2, ``MAX_DIMENSION``].
     """
-    d = _integer("d", d, 2, MAX_DIMENSION)
-    if not -1.0 <= h <= 1.0:
-        raise ValueError(f"height must lie in [-1, 1], got {h}")
-    return _log_sym_beta_cdf(h, 0.5 * (d - 1))
+    d, h = _integer("d", d, 2, MAX_DIMENSION), _real("h", h, -1.0, 1.0, "[]")
+    return _log_sym_beta_cdf(h, 0.5 * (d - 1), f"ln G(h) at d = {d}, h = {h!r}")
 
 
 def scaled_beta_cdf(h: float, alpha: float) -> float:
@@ -316,16 +337,14 @@ def scaled_beta_cdf(h: float, alpha: float) -> float:
 
     This is the finite-support approximant of the normal CDF; it equals
     the regularized incomplete beta at x = (1 + h/sqrt(alpha))/2 with both
-    parameters alpha/2 + 1.
+    parameters alpha/2 + 1; alpha is in (0, inf) and h real.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha, h = _real("alpha", alpha, 0.0), _real("h", h, ends="[]")
     r = math.sqrt(alpha)
     if not -r <= h <= r:
         raise ValueError(f"|h| must not exceed sqrt(alpha), got h={h}, alpha={alpha}")
-    if h == 0.0:
-        return 0.5
-    return math.exp(_log_sym_beta_cdf(h / r, 0.5 * alpha + 1.0))
+    return math.exp(_log_sym_beta_cdf(h / r, 0.5 * alpha + 1.0,
+                                      f"the scaled beta CDF at alpha = {alpha!r}, h = {h!r}"))
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +397,10 @@ def _tail_ratio_sides(h, big_d, rel_slack):
     log_ratio = log_tail - log_ref
     if log_ratio > slack:
         yield "ratio above 1", log_ratio
-    lower = 1.0 - (1.0 - h * h) / (2.0 * h * h * (big_d + 2.0))
-    if lower > 0.0 and log_ratio < math.log(lower) - slack:
-        yield "ratio below lower bound", math.log(lower) - log_ratio
+    scale = 2.0 * h * h * (big_d + 2.0)  # 0 where h^2 underflows: the bound is then absent
+    lower = math.log(1.0 - (1.0 - h * h) / scale) if scale > 1.0 - h * h else _NEG_INF
+    if log_ratio < lower - slack:
+        yield "ratio below lower bound", lower - log_ratio
 
 
 def _gauss_comparison_sides(h, alpha, rel_slack):
@@ -428,10 +448,9 @@ def check_bounds_suite(
 
     Points violating a hypothesis are reported per-point under
     ``hypothesis_errors`` and skipped; genuine violations beyond
-    ``rel_slack`` land in ``violations``.  ``rel_slack`` must exceed -1.
+    ``rel_slack`` land in ``violations``.  ``rel_slack`` is in (-1, inf).
     """
-    if rel_slack <= -1.0:
-        raise ValueError(f"rel_slack must exceed -1, got {rel_slack}")
+    rel_slack = _real("rel_slack", rel_slack, -1.0)
     report = BoundsReport()
     for (suite, hypothesis, requirement, sides), points in zip(
         _SUITES, (exp_points, tail_points, gauss_points)

@@ -132,18 +132,34 @@ class TestClassify:
     @pytest.mark.parametrize("tag", ["sublinear_sqrt", "linear", "exponential"])
     @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
     def test_regime_spec_refuses_a_non_finite_rho(self, tag, rho):
-        with pytest.raises(ValueError, match=f"rho must be finite, got rho={rho}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rho must be a real number in (-inf, inf), got rho={rho}")):
             RegimeSpec.from_tag(tag, rho)
+
+    def test_reals_are_kept_as_floats(self):
+        spec = RegimeSpec.from_tag("linear", np.float32(0.5))
+        family = GrowthFamily("d_fixed", np.int64(3), 1)
+        assert (spec.rho, family.coef, family.power) == (0.5, 3.0, 1.0)
+        assert all(type(v) is float for v in (spec.rho, family.coef, family.power))
 
 
 class TestRateFunctions:
     @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
     def test_rates_refuse_rho_outside_finite_positives(self, rho):
-        message = f"rho must be finite and positive, got rho={rho}"
+        message = f"rho must be a real number in (0.0, inf), got rho={rho}"
         for call in (lambda: height_rate(rho, 0.5), lambda: count_rate(rho, 0.5),
-                     lambda: rate_argmax(rho), lambda: count_rate_roots(rho)):
-            with pytest.raises(ValueError, match=message):
+                     lambda: rate_argmax(rho), lambda: count_rate_roots(rho),
+                     lambda: height_rate_prime(rho, 0.5), lambda: height_rate_second(rho, 0.5)):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 call()
+
+    def test_slope_finite_far_left(self):
+        # ln(phi/Phi) no longer cancels two r^2/2 terms, which gave nan from r ~ -1e154
+        with mpmath.workdps(50):
+            want = mpmath.npdf(-1e4) / mpmath.ncdf(-1e4) + 1e4
+            assert height_rate_prime(1.0, -1e4) == pytest.approx(float(want), rel=1e-13)
+        # phi/Phi is -r once r^2 leaves float range, to the rounding of exp(ln 1e200)
+        assert height_rate_prime(1.0, -1e200) == pytest.approx(2e200, rel=1e-13)
 
     def test_count_rate_at_origin_rho_one(self):
         """(rho+1)ln(rho+1) - rho ln rho - rho ln 2 = ln 2 at rho = 1."""
@@ -585,9 +601,47 @@ _INTEGER_ROWS = [
 ]
 
 
+def _real_values(interval: str, outside):
+    """NaN, a string, None, each infinity the interval excludes, and a finite
+    value outside it where there is one (``outside``, else None)."""
+    yield from (("NaN", math.nan), ("string", "0.5"), ("None", None))
+    if not interval.startswith("[-inf"):
+        yield "-inf", -math.inf
+    if not interval.endswith("inf]"):
+        yield "inf", math.inf
+    if outside is not None:
+        yield "outside", outside
+
+
+_WINDOW_AT = PolytopeParams(10**6, 3)
+# each real argument refuses those values with one message naming it:
+# (label, call of the argument, name, interval, finite value outside or None)
+_REAL_ARGS = [
+    ("family coef", lambda c: GrowthFamily("n_power", c), "coef", "[-inf, inf]", None),
+    ("family power", lambda a: GrowthFamily("n_power", 2.0, a), "power", "(-inf, inf)", None),
+    ("regime rho", lambda rho: RegimeSpec(Regime.SUBLINEAR_SQRT, rho), "rho", "(-inf, inf)",
+     None),
+    ("rate rho", lambda rho: height_rate(rho, 0.5), "rho", "(0.0, inf)", 0.0),
+    ("rate r", lambda r: height_rate(1.0, r), "r", "(-inf, inf)", None),
+    ("count rate r", lambda r: count_rate(1.0, r), "r", "(-inf, inf)", None),
+    ("slope r", lambda r: height_rate_prime(1.0, r), "r", "(-inf, inf)", None),
+    ("curvature r", lambda r: height_rate_second(1.0, r), "r", "(-inf, inf)", None),
+    ("argmax rho", rate_argmax, "rho", "(0.0, inf)", -1.0),
+    ("roots rho", count_rate_roots, "rho", "(0.0, inf)", 0.0),
+    ("window r1", lambda r1: height_window(_WINDOW_AT, r1=r1), "r1", "(0.0, inf)", -1.0),
+    ("window r2", lambda r2: height_window(_WINDOW_AT, r2=r2), "r2", "(0.0, inf)", 0.0),
+]
+_REAL_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be a real number in {interval}, got {name}={value}")
+    for label, call, name, interval, outside in _REAL_ARGS
+    for kind, value in _real_values(interval, outside)
+    if not (kind == "None" and label == "regime rho")  # None is a regime without rho
+]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: height_window(PolytopeParams(10**6, 3), r1=0.0),
-     "r1 and r2 must be positive, got r1=0.0, r2=0.1"),
+     "r1 must be a real number in (0.0, inf), got r1=0.0"),
     (lambda: height_window(_N_AT_D), "height window needs n > d, got ln(n/d) = 0.0"),
     (lambda: height_window(PolytopeParams(10**6, 3), r2=1e6),
      "upper endpoint undefined: requires r2 * d < n"),
@@ -609,11 +663,11 @@ _INTEGER_ROWS = [
     (lambda: height_window(PolytopeParams.from_log(1600.0, 3)),
      "height window at ln n = 1600.0, d = 3: the upper edge's gap"),
     *((lambda call=call, value=value: call(value), message)
-      for _, call, value, message in _INTEGER_ROWS),
+      for _, call, value, message in _INTEGER_ROWS + _REAL_ROWS),
 ], ids=["r1", "n at d", "upper endpoint", "crossed", "superexponential scale",
         "subexponential count", "sublinear law", "dimension", "wendel n",
         "window gap below float range", "window gaps both zero",
-        *(row[0] for row in _INTEGER_ROWS)])
+        *(row[0] for row in _INTEGER_ROWS + _REAL_ROWS)])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -360,7 +360,10 @@ class TestEmission:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {flag}: must be" in capsys.readouterr().err
+        name = flag[2:]
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {name} must be an integer in" in err
+        assert f"got {name}={argv[-1]}" in err
 
     def test_n_beyond_float_range_exits_one_naming_ln_n(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--n", "1" + "0" * 400, "--d", "3")
@@ -370,7 +373,7 @@ class TestEmission:
     def test_infinite_ln_n_exits_one_naming_it(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--ln-n", "inf", "--d", "3")
         assert code == 1
-        assert "ln_n must be finite" in err
+        assert "ln_n must be a real number in (-inf, inf), got ln_n=inf" in err
 
     def test_numeric_error_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--n", "3", "--d", "5")
@@ -482,12 +485,36 @@ def test_import_leaves_optional_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# each real flag refuses NaN, the infinities its interval excludes and a value
+# outside it as a usage error naming the flag, the input and its value
+_REAL_FLAG_ROWS = [
+    *(([*shape, f"{flag}={text}"], 2,
+       f"argument {flag}: {name} must be a real number in {interval}, got {name}={text}")
+      for shape, flag, name, interval in (
+          (["exact", "--n", "20", "--d", "3"], "--h1", "h", "[-1.0, 1.0]"),
+          (["scan", "--d", "3", "--n-start", "5", "--n-stop", "9"], "--h2", "h", "[-1.0, 1.0]"),
+          (["asym", "--n", "1000", "--d", "3", "--regime", "linear"], "--r1", "r1", "(0.0, inf)"),
+          (["asym", "--n", "1000", "--d", "3", "--regime", "linear"], "--r2", "r2", "(0.0, inf)"),
+          (["asym", "--n", "1000", "--d", "3", "--regime", "linear"], "--rho", "rho", "[0.0, inf)"))
+      for text in ("nan", "inf", "-inf", "-1.5")),
+    (["exact", "--n", "abc", "--d", "3"], 2,
+     "argument --n: n must be an integer in [3, inf], got n=abc"),
+    (["scan", "--d", "1.5", "--n-start", "5", "--n-stop", "9"], 2,
+     "argument --d: d must be an integer in [2, 1e+154], got d=1.5"),
+    # --ln-n is the library's to judge: a refusal there exits 1
+    (["exact", "--ln-n", "nan", "--d", "3"], 1,
+     "ln_n must be a real number in (-inf, inf), got ln_n=nan"),
+]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["exact", "--n", "20", "--d", "3", "--h1", "abc"], 2,
-     "argument --h1: must be a finite number in [-1, 1], got 'abc'"),
+     "argument --h1: h must be a real number in [-1.0, 1.0], got h=abc"),
     (["exact", "--ln-n", "29.933606208921795", "--d", str(10**13)], 1,
      "ln_n=29.933606208921795 implies n - d < 1 for d=10000000000000"),
-], ids=["height not a number", "ln n below d + 1"])
+    *_REAL_FLAG_ROWS,
+], ids=["height not a number", "ln n below d + 1",
+        *(" ".join(argv) for argv, _, _ in _REAL_FLAG_ROWS)])
 def test_input_checks_name_the_input(capsys, argv, code, message):
     try:
         got = main(argv)

@@ -59,10 +59,18 @@ class TestParams:
 
     @pytest.mark.parametrize("size", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_sizes(self, size):
-        with pytest.raises(ValueError, match=f"n must be finite, got n={size}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must be a real number in (-inf, inf), got n={size}")):
             PolytopeParams(size, 3)
-        with pytest.raises(ValueError, match=f"ln_n must be finite, got ln_n={size}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ln_n must be a real number in (-inf, inf), got ln_n={size}")):
             PolytopeParams.from_log(size, 3)
+
+    def test_sizes_are_reals_kept_as_floats(self):
+        p = PolytopeParams(np.int64(20), 3)
+        assert p == PolytopeParams(20.0, 3) and type(p.n) is float
+        q = PolytopeParams.from_log(np.float32(50.0), 3)
+        assert q.ln_n == 50.0 and type(q.ln_n) is float
 
     def test_rejects_n_beyond_float_range(self):
         with pytest.raises(ValueError, match="n is too large for a float; give ln_n instead"):
@@ -235,9 +243,18 @@ class TestWindows:
         assert (w.gap1, w.gap2) == (half_pi + 0.3, half_pi - 1.2)
         # the angles are accepted by keyword too, and stand for the gaps
         assert HeightInterval(h1=w.h1, h2=w.h2, theta1=-0.3, theta2=1.2) == w
-        for theta1, theta2 in ((0.4, 0.2), (-1.6, 0.0), (0.0, 1.6)):
-            with pytest.raises(ValueError, match="theta1 <= theta2"):
+        with pytest.raises(ValueError, match="theta1 <= theta2"):
+            HeightInterval.from_theta(0.4, 0.2)
+        angles = f"[{-0.5 * math.pi!r}, {0.5 * math.pi!r}]"
+        for theta1, theta2, name, value in ((-1.6, 0.0, "theta1", -1.6), (0.0, 1.6, "theta2", 1.6)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be a real number in {angles}, got {name}={value}")):
                 HeightInterval.from_theta(theta1, theta2)
+
+    def test_heights_and_gaps_are_kept_as_floats(self):
+        w = HeightInterval(np.float32(0.5), True)
+        assert (w.h1, w.h2, w.gap2) == (0.5, 1.0, 0.0)
+        assert all(type(v) is float for v in (w.h1, w.h2, w.gap1, w.gap2))
 
     def test_given_gaps_and_angles_within_tolerance_are_accepted(self):
         """from_theta's pi/2 - theta is the loosest legitimate route: at
@@ -815,19 +832,63 @@ _INTEGER_ROWS = [
 ]
 
 
+def _real_values(interval: str, outside):
+    """NaN, a string, None, each infinity the interval excludes, and a finite
+    value outside it where there is one (``outside``, else None)."""
+    yield from (("NaN", math.nan), ("string", "0.5"), ("None", None))
+    if not interval.startswith("[-inf"):
+        yield "-inf", -math.inf
+    if not interval.endswith("inf]"):
+        yield "inf", math.inf
+    if outside is not None:
+        yield "outside", outside
+
+
+_LAW = TypicalHeightLaw(PolytopeParams(12, 4))
+_GAPS = f"[0.0, {math.pi!r}]"
+_ANGLES = f"[{-0.5 * math.pi!r}, {0.5 * math.pi!r}]"
+# each real argument refuses those values with one message naming it:
+# (label, call of the argument, name, interval, finite value outside or None)
+_REAL_ARGS = [
+    ("params n", lambda n: PolytopeParams(n, 3), "n", "(-inf, inf)", None),
+    ("log params ln_n", lambda ln_n: PolytopeParams.from_log(ln_n, 3), "ln_n", "(-inf, inf)", None),
+    ("window h1", lambda h: HeightInterval(h, 1.0), "h1", "[-1.0, 1.0]", -1.5),
+    ("window h2", lambda h: HeightInterval(-1.0, h), "h2", "[-1.0, 1.0]", 1.5),
+    ("window gap1", lambda gap: HeightInterval(-1.0, 1.0, gap1=gap), "gap1", _GAPS, 4.0),
+    ("window gap2", lambda gap: HeightInterval(1.0, 1.0, gap2=gap), "gap2", _GAPS, -0.5),
+    ("window theta1", lambda t: HeightInterval(-1.0, 1.0, theta1=t), "theta1", _ANGLES, 2.0),
+    ("from_theta theta1", lambda t: HeightInterval.from_theta(t, 0.5), "theta1", _ANGLES, -2.0),
+    ("from_theta theta2", lambda t: HeightInterval.from_theta(-0.5, t), "theta2", _ANGLES, 2.0),
+    ("upper tail gap", HeightInterval.upper_tail, "gap", _GAPS, 4.0),
+    ("cdf h", lambda h: typical_height_cdf(_LAW, h), "h", "[-1.0, 1.0]", -1.5),
+    ("quantile p", lambda p: typical_height_quantile(_LAW, p), "p", "(0.0, 1.0)", 1.0),
+    ("gamma y", lambda y: gamma_statistic_cdf(_LAW, y), "y", "(0.0, inf]", 0.0),
+]
+# None is no value for these: n and ln_n stand for each other, and a gap or an
+# angle left out is taken from its height
+_OMITTABLE = {"params n", "log params ln_n", "window gap1", "window gap2", "window theta1"}
+_REAL_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be a real number in {interval}, got {name}={value}")
+    for label, call, name, interval, outside in _REAL_ARGS
+    for kind, value in _real_values(interval, outside)
+    if not (kind == "None" and label in _OMITTABLE)
+]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: PolytopeParams(None, 3), "provide either n or ln_n, got n=None, ln_n=None, d=3"),
     (lambda: HeightInterval(0.0, 0.5, gap1=0.1, gap2=0.2),
      "gaps gap1=0.1, gap2=0.2 are not in window order"),
     (lambda: HeightInterval(-1.0, 0.5, gap1=4.0),
-     "gaps gap1=4.0, gap2=1.0471975511965979 are not in window order"),
-    (lambda: HeightInterval.upper_tail(4.0), "gap must lie in [0, pi], got 4.0"),
+     f"gap1 must be a real number in [0.0, {math.pi!r}], got gap1=4.0"),
+    (lambda: HeightInterval.upper_tail(4.0),
+     f"gap must be a real number in [0.0, {math.pi!r}], got gap=4.0"),
     (lambda: typical_height_cdf(TypicalHeightLaw.for_params(PolytopeParams(12, 4)), 1.5),
-     "height must lie in [-1, 1], got 1.5"),
+     "h must be a real number in [-1.0, 1.0], got h=1.5"),
     *((lambda call=call, value=value: call(value), message)
-      for _, call, value, message in _INTEGER_ROWS),
+      for _, call, value, message in _INTEGER_ROWS + _REAL_ROWS),
 ], ids=["no point count", "gaps out of order", "gap past pi", "tail gap past pi",
-        "cdf height past 1", *(row[0] for row in _INTEGER_ROWS)])
+        "cdf height past 1", *(row[0] for row in _INTEGER_ROWS + _REAL_ROWS)])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -9,6 +9,7 @@ integrals.
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,9 +26,13 @@ from spherefacets import (
     scaled_beta_cdf,
 )
 from spherefacets.numerics import (
+    MAX_DIMENSION,
+    ConvergenceError,
     _log_cap_constant,
     _log_gamma_half_ratio,
     _log_half_tail,
+    _log_mills,
+    _real,
     log_c_alpha,
 )
 
@@ -107,6 +112,17 @@ class TestNormCdf:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             norm_cdf(math.nan)
+
+    @pytest.mark.parametrize("r", [-10.0, -1e4, -1e6])
+    def test_log_mills_against_mpmath(self, r):
+        # from r = -36 down ln(phi/Phi) is ln(-r) - log1p(series): no r^2/2 cancels
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.npdf(r) / mpmath.ncdf(r))
+            assert abs(_log_mills(r) - want) <= 1e-14 * abs(want)
+
+    def test_log_mills_finite_far_left(self):
+        # r^2 leaves float range: the series is 0 and ln(phi/Phi) is ln(-r)
+        assert _log_mills(-1e300) == math.log(1e300)
 
 
 class TestRegIncBeta:
@@ -189,6 +205,17 @@ class TestRegIncBeta:
             log_reg_inc_beta(1.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             log_reg_inc_beta(0.5, -1.0, 1.0)
+
+    def test_kernel_failures_name_the_given_arguments(self):
+        # past the switch point the kernel runs on the complement, a = 1e200 at x = 0.7,
+        # but the failure names x, a and b as the caller gave them
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "ln I_x(a, b) at x=0.3, a=3.0, b=1e+200: incomplete beta")):
+            log_reg_inc_beta(0.3, 3.0, 1e200)
+        # ln Gamma(3e305) is beyond float range
+        with pytest.raises(OverflowError, match=re.escape(
+                "ln I_x(a, b) at x=0.3, a=3e+305, b=3.0: math range error")):
+            log_reg_inc_beta(0.3, 3e305, 3.0)
 
 
 class TestCAlpha:
@@ -285,6 +312,16 @@ class TestInnerCdf:
         # G(0.3) is 1 in float long before d = 10**154
         assert log_inner_cdf(0.3, 10**154) == 0.0
 
+    def test_center_is_one_half_at_every_dimension(self):
+        # G(0) = 1/2 needs no kernel, whose continued fraction is lost from d ~ 1e17
+        for d in (10**17, 10**20, MAX_DIMENSION):
+            assert log_inner_cdf(0.0, d) == log_inner_cdf(-0.0, d) == -math.log(2.0)
+
+    def test_lost_kernel_names_d_and_h(self):
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "ln G(h) at d = 100000000000000000, h = 1e-09: incomplete beta")):
+            log_inner_cdf(1e-9, 10**17)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             log_inner_cdf(1.5, 3)
@@ -297,6 +334,12 @@ class TestScaledBetaCdf:
         assert scaled_beta_cdf(0.0, 10.0) == 0.5
         assert scaled_beta_cdf(math.sqrt(10.0), 10.0) == pytest.approx(1.0, abs=1e-12)
         assert scaled_beta_cdf(-math.sqrt(10.0), 10.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_lost_kernel_names_alpha_and_h(self):
+        assert scaled_beta_cdf(0.0, 1e17) == 0.5
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "the scaled beta CDF at alpha = 1e+17, h = 0.5: incomplete beta")):
+            scaled_beta_cdf(0.5, 1e17)
 
     def test_against_quadrature_oracle(self):
         nodes, weights = np.polynomial.legendre.leggauss(600)
@@ -329,6 +372,12 @@ class TestBoundsSuite:
         assert lower <= tail / ref <= 1.0
         report = check_bounds_suite(tail_points=[(h, big_d)])
         assert report.ok()
+
+    @pytest.mark.parametrize("h", [1e-170, 1e-320])
+    def test_tail_ratio_where_h_squared_underflows(self, h):
+        # 2 h^2 (D + 2) <= 1 - h^2: the lower bound is not positive, so it is absent
+        report = check_bounds_suite(tail_points=[(h, 10.0)])
+        assert report.checked == 1 and report.ok() and report.hypothesis_errors == []
 
     def test_gauss_comparison_center(self):
         report = check_bounds_suite(gauss_points=[(0.0, 10.0)])
@@ -401,15 +450,84 @@ _INTEGER_ROWS = [
 ]
 
 
+
+
+def _real_values(interval: str, outside):
+    """NaN, a string, None, each infinity the interval excludes, and a finite
+    value outside it where there is one (``outside``, else None)."""
+    yield from (("NaN", math.nan), ("string", "0.5"), ("None", None))
+    if not interval.startswith("[-inf"):
+        yield "-inf", -math.inf
+    if not interval.endswith("inf]"):
+        yield "inf", math.inf
+    if outside is not None:
+        yield "outside", outside
+
+
+# each real argument refuses those values with one message naming it:
+# (label, call of the argument, name, interval, finite value outside or None)
+_REAL_ARGS = [
+    ("normal cdf h", norm_cdf, "h", "[-inf, inf]", None),
+    ("log normal cdf h", log_norm_cdf, "h", "[-inf, inf]", None),
+    ("inc beta x", lambda x: log_reg_inc_beta(x, 2.0, 3.0), "x", "[0.0, 1.0]", 1.5),
+    ("inc beta a", lambda a: log_reg_inc_beta(0.5, a, 3.0), "a", "(0.0, inf)", 0.0),
+    ("inc beta b", lambda b: log_reg_inc_beta(0.5, 2.0, b), "b", "(0.0, inf)", -1.0),
+    ("c alpha", log_c_alpha, "alpha", "(-1.0, inf)", -1.0),
+    ("normalizer alpha", gauss_beta_norm, "alpha", "(0.0, inf)", 0.0),
+    ("inner cdf h", lambda h: log_inner_cdf(h, 3), "h", "[-1.0, 1.0]", 1.5),
+    ("scaled cdf alpha", lambda alpha: scaled_beta_cdf(0.5, alpha), "alpha", "(0.0, inf)", -1.0),
+    ("scaled cdf h", lambda h: scaled_beta_cdf(h, 4.0), "h", "[-inf, inf]", None),
+    ("bounds slack", lambda slack: check_bounds_suite(rel_slack=slack), "rel_slack",
+     "(-1.0, inf)", -1.0),
+]
+_REAL_ROWS = [
+    (f"{label} {kind}", call, value, f"{name} must be a real number in {interval}, got {name}={value}")
+    for label, call, name, interval, outside in _REAL_ARGS
+    for kind, value in _real_values(interval, outside)
+]
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: log_norm_cdf(math.nan), "log_norm_cdf requires a finite argument, got h=nan"),
-    (lambda: gauss_beta_norm(0.0), "alpha must be positive, got 0.0"),
-    (lambda: scaled_beta_cdf(0.5, -1.0), "alpha must be positive, got -1.0"),
+    (lambda: log_norm_cdf(math.nan), "h must be a real number in [-inf, inf], got h=nan"),
+    (lambda: gauss_beta_norm(0.0), "alpha must be a real number in (0.0, inf), got alpha=0.0"),
+    (lambda: scaled_beta_cdf(0.5, -1.0), "alpha must be a real number in (0.0, inf), got alpha=-1.0"),
     (lambda: scaled_beta_cdf(2.0, 1.0), "|h| must not exceed sqrt(alpha), got h=2.0, alpha=1.0"),
     *((lambda call=call, value=value: call(value), message)
-      for _, call, value, message in _INTEGER_ROWS),
+      for _, call, value, message in _INTEGER_ROWS + _REAL_ROWS),
 ], ids=["nan height", "normalizer alpha", "cdf alpha", "height past sqrt(alpha)",
-        *(row[0] for row in _INTEGER_ROWS)])
+        *(row[0] for row in _INTEGER_ROWS + _REAL_ROWS)])
 def test_input_checks_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+class TestRealRule:
+    def test_reals_pass_as_python_floats(self):
+        for value in (0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+            got = _real("x", value, 0.0, 1.0)
+            assert got == 0.5 and type(got) is float
+        assert _real("x", True, 0.0, 1.0, "[]") == 1.0
+        assert _real("x", np.int64(-3)) == -3.0
+
+    @pytest.mark.parametrize("value, low, high, ends, interval", [
+        (0.0, 0.0, 1.0, "(]", "(0.0, 1.0]"),
+        (1.0, 0.0, 1.0, "[)", "[0.0, 1.0)"),
+        (math.inf, 0.0, math.inf, "()", "(0.0, inf)"),
+        (-math.inf, -math.inf, 0.0, "(]", "(-inf, 0.0]"),
+    ])
+    def test_an_open_end_excludes_its_bound(self, value, low, high, ends, interval):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x must be a real number in {interval}, got x={value}")):
+            _real("x", value, low, high, ends)
+        assert _real("x", value, low, high, "[]") == value
+
+    def test_complex_is_not_real(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "x must be a real number in [-inf, inf], got x=1j")):
+            _real("x", 1j, ends="[]")
+
+    def test_int_beyond_float_range_is_an_infinity(self):
+        assert _real("n", 10**400, ends="[]") == math.inf
+        assert _real("n", -(10**400), ends="[]") == -math.inf
+        with pytest.raises(ValueError, match=re.escape(f"got n={10**400}")):
+            _real("n", 10**400)
